@@ -59,7 +59,7 @@ func annRecall(b *testing.B, db *core.Database, alg core.Algorithm, src core.Can
 	const queries = 5
 	for qi := 0; qi < queries; qi++ {
 		q := servingData(1, 9, 100+int64(qi))[0]
-		exact, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, nil)
+		exact, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func benchScan(b *testing.B, measure, algorithm string, pruned bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if pruned {
-			if _, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, &st); err != nil {
+			if _, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, nil, &st, nil); err != nil {
 				b.Fatal(err)
 			}
 		} else {

@@ -3,9 +3,6 @@ package core
 import (
 	"container/heap"
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"simsub/internal/geo"
 	"simsub/internal/index"
@@ -241,33 +238,20 @@ func (h *topKHeap) sorted() []Match {
 
 // TopK runs the algorithm over every candidate trajectory and returns the k
 // best matches ordered by ascending distance. With the index enabled,
-// candidates are limited to MBR-intersecting trajectories.
+// candidates are limited to MBR-intersecting trajectories. It is
+// TopKPrunedSourceCtx with no context, filter, shared threshold or
+// candidate source: the scan prunes against its own running k-th best, and
+// the ranking is byte-identical to the unpruned scan's.
 func (db *Database) TopK(alg Algorithm, q traj.Trajectory, k int) []Match {
-	out, _ := db.TopKCtx(context.Background(), alg, q, k)
+	out, _ := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, nil, nil, nil) // a background context never cancels
 	return out
-}
-
-// TopKCtx is TopK with cancellation: the context is checked between
-// per-trajectory searches, so a server can abandon a long-running query.
-// A single trajectory search is not interruptible once started. On
-// cancellation it returns (nil, ctx.Err()).
-func (db *Database) TopKCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int) ([]Match, error) {
-	return db.TopKFilteredCtx(ctx, alg, q, k, nil)
-}
-
-// TopKFilteredCtx is TopKCtx restricted to trajectories whose MBR
-// intersects filter (nil = unrestricted). It prunes against its own
-// running k-th-best distance (see prune.go); the ranking is byte-identical
-// to the unpruned scan's.
-func (db *Database) TopKFilteredCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int, filter *geo.Rect) ([]Match, error) {
-	return db.TopKPrunedCtx(ctx, alg, q, k, filter, nil, nil)
 }
 
 // ScanFilteredCtx runs the algorithm over every pruned (and, with a
 // non-nil filter, region-restricted) candidate, invoking fn with each
 // per-trajectory match in candidate order on the calling goroutine. An fn
-// error aborts the scan and is returned. It is the streaming primitive
-// under TopKFilteredCtx and the engine's incremental match delivery.
+// error aborts the scan and is returned. It applies no threshold pruning:
+// it is the unpruned reference the pruned scans are checked against.
 func (db *Database) ScanFilteredCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, fn func(Match) error) error {
 	for _, ci := range db.CandidatesFiltered(q, filter) {
 		if err := ctx.Err(); err != nil {
@@ -282,89 +266,6 @@ func (db *Database) ScanFilteredCtx(ctx context.Context, alg Algorithm, q traj.T
 		}
 	}
 	return nil
-}
-
-// TopKParallel is TopK with the per-trajectory searches fanned out over
-// workers goroutines (0 = GOMAXPROCS). The algorithm and measure must be
-// safe for concurrent use; every algorithm and measure in this library is.
-func (db *Database) TopKParallel(alg Algorithm, q traj.Trajectory, k, workers int) []Match {
-	out, _ := db.TopKParallelCtx(context.Background(), alg, q, k, workers)
-	return out
-}
-
-// TopKParallelCtx is TopKParallel with cancellation: every worker checks
-// the context before starting each per-trajectory search and stops early
-// when it is done. On cancellation it returns (nil, ctx.Err()).
-//
-// Workers share the running global k-th-best distance (a SharedKth, see
-// prune.go), so each per-trajectory search prunes against the best bound
-// any worker has established; pruned candidates are exactly those provably
-// outside the final top-k, keeping the ranking byte-identical.
-func (db *Database) TopKParallelCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k, workers int) ([]Match, error) {
-	cands := db.Candidates(q)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		return db.TopKCtx(ctx, alg, q, k)
-	}
-	ts, threshold := alg.(ThresholdSearcher)
-	var shared *SharedKth
-	if threshold {
-		shared = NewSharedKth(k)
-	}
-	matches := make([]Match, len(cands))
-	valid := make([]bool, len(cands))
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var search ThresholdSearch
-			if threshold {
-				search = ts.NewThresholdSearch(q)
-				defer search.Release()
-			}
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				t := db.be.Traj(cands[i])
-				if t.Len() == 0 {
-					continue
-				}
-				var r Result
-				if threshold {
-					var pruned Pruned
-					r, pruned = search.Search(t, db.Meta(cands[i]), shared.Threshold())
-					if pruned != NotPruned {
-						continue
-					}
-					shared.Offer(r.Dist)
-				} else {
-					r = alg.Search(t, q)
-				}
-				matches[i] = Match{TrajIndex: cands[i], Result: r}
-				valid[i] = true
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	h := topKHeap{k: k}
-	for i := range matches {
-		if valid[i] {
-			h.offer(matches[i])
-		}
-	}
-	return h.sorted(), nil
 }
 
 // Best returns the single best match (TopK with k = 1); ok is false when

@@ -116,26 +116,6 @@ func TestCandidatesWithIndexPrunes(t *testing.T) {
 	}
 }
 
-func TestTopKParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	ts := smallDB(rng, 40)
-	db := NewDatabase(ts, false)
-	q := randTraj(rng, 5)
-	alg := PSS{M: sim.DTW{}}
-	seq := db.TopK(alg, q, 10)
-	for _, workers := range []int{0, 1, 2, 8} {
-		par := db.TopKParallel(alg, q, 10, workers)
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d matches, want %d", workers, len(par), len(seq))
-		}
-		for i := range seq {
-			if par[i].Result.Dist != seq[i].Result.Dist {
-				t.Fatalf("workers=%d rank %d: %v vs %v", workers, i, par[i].Result.Dist, seq[i].Result.Dist)
-			}
-		}
-	}
-}
-
 func TestGridIndexedDatabase(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	ts := smallDB(rng, 30)

@@ -476,21 +476,18 @@ func (s *SharedKth) down(i int) {
 	}
 }
 
-// ScanPrunedCtx is ScanFilteredCtx with the threshold pipeline: candidates
-// whose lower bound beats the threshold are skipped, per-trajectory
-// searches abandon against it, and fn only sees matches that could still
-// enter a top-k whose k-th-best distance is th.Threshold(). Algorithms
-// that do not implement ThresholdSearcher are scanned unpruned. st, when
-// non-nil, receives the scan's pruning counters; it is not synchronized.
-func (db *Database) ScanPrunedCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, th Thresholder, st *PruneStats, fn func(Match) error) error {
-	return db.ScanPrunedSourceCtx(ctx, alg, q, filter, th, st, nil, fn)
-}
-
-// ScanPrunedSourceCtx is ScanPrunedCtx with the candidate enumeration
-// swapped for src (nil = the Database's spatial enumeration, making it
-// exactly ScanPrunedCtx). The threshold pipeline is identical whatever the
-// source: each candidate the source yields flows through the lower-bound
-// cascade, the abandoning search and the result post-filter unchanged.
+// ScanPrunedSourceCtx is the streaming scan with the threshold pipeline:
+// over src's candidates (nil = the Database's spatial enumeration,
+// restricted to trajectories whose MBR intersects filter when non-nil),
+// candidates whose lower bound beats the threshold are skipped,
+// per-trajectory searches abandon against it, and fn only sees matches that
+// could still enter a top-k whose k-th-best distance is th.Threshold() (nil
+// = no threshold), in candidate order on the calling goroutine. The
+// pipeline is identical whatever the source. Algorithms that do not
+// implement ThresholdSearcher are scanned unpruned. st, when non-nil,
+// receives the scan's pruning counters; it is not synchronized. The
+// context is checked between candidates; an fn error or cancellation
+// aborts the scan and is returned.
 func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, th Thresholder, st *PruneStats, src CandidateSource, fn func(Match) error) error {
 	if st == nil {
 		st = &PruneStats{}
@@ -544,21 +541,18 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 	return nil
 }
 
-// TopKPrunedCtx is TopKFilteredCtx with the threshold pipeline: the scan
-// prunes against its own running k-th best, tightened by the global
-// k-th-best published through shared when non-nil (the engine passes one
-// SharedKth across all shard workers). Every scored match is offered to
-// shared so concurrent scans tighten each other. The ranking is
-// byte-identical to the unpruned scan's.
-func (db *Database) TopKPrunedCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int, filter *geo.Rect, shared *SharedKth, st *PruneStats) ([]Match, error) {
-	return db.TopKPrunedSourceCtx(ctx, alg, q, k, filter, shared, st, nil)
-}
-
-// TopKPrunedSourceCtx is TopKPrunedCtx over src's candidates (nil = the
-// spatial enumeration). With an approximate source the result is the exact
-// top-k OF THE CANDIDATES THE SOURCE RETURNED — every retained match
-// carries the same exact distance the spatial scan would have computed for
-// it, but trajectories the source omitted are simply absent.
+// TopKPrunedSourceCtx is the one top-k scan: the k best matches over src's
+// candidates (nil = the spatial enumeration, restricted by filter when
+// non-nil) in ascending RankBefore order. The scan prunes against its own
+// running k-th best, tightened by the global k-th best published through
+// shared when non-nil (the engine passes one SharedKth across all shard
+// workers); every scored match is offered to shared so concurrent scans
+// tighten each other. The ranking is byte-identical to the unpruned scan's.
+// With an approximate source the result is the exact top-k OF THE
+// CANDIDATES THE SOURCE RETURNED — every retained match carries the same
+// exact distance the spatial scan would have computed for it, but
+// trajectories the source omitted are simply absent. On cancellation it
+// returns (nil, ctx.Err()).
 func (db *Database) TopKPrunedSourceCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int, filter *geo.Rect, shared *SharedKth, st *PruneStats, src CandidateSource) ([]Match, error) {
 	h := topKHeap{k: k}
 	var extern Thresholder

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"simsub/internal/geo"
+	"simsub/internal/nn"
+	"simsub/internal/rl"
 	"simsub/internal/sim"
 	"simsub/internal/traj"
 )
@@ -30,6 +33,16 @@ func equivData(n, pts int, seed int64) []traj.Trajectory {
 		ts[i] = traj.Trajectory{ID: i, Points: p}
 	}
 	return ts
+}
+
+// noisyPolicy builds a policy with random (DQN-initialization) weights: its
+// actions depend on the state, so different candidates take genuinely
+// different walks, exercising the learned scan far harder than a constant
+// policy would.
+func noisyPolicy(seed int64, k int, useSuffix, simplify bool) *rl.Policy {
+	dim := rl.StateDim(useSuffix)
+	net := nn.NewMLP([]int{dim, 8, 2 + k}, []nn.Activation{nn.ReLU, nn.Sigmoid}, rand.New(rand.NewSource(seed)))
+	return &rl.Policy{Net: net, K: k, UseSuffix: useSuffix, SimplifyState: simplify}
 }
 
 // unprunedTopK is the reference ranking: the plain per-candidate scan
@@ -61,8 +74,21 @@ func TestPrunedScanEquivalence(t *testing.T) {
 	measures := []sim.Measure{
 		sim.DTW{}, sim.CDTW{R: 0.25}, sim.Frechet{}, sim.EDR{Eps: 0.4}, sim.LCSS{Eps: 0.4},
 	}
+	// the learned searches: full-state RLS (lower-bound cascade on),
+	// simplified-state RLS-Skip and RLS-Skip+ (threshold as a post-filter
+	// only) and a compiled table served through the fused walk
+	table, err := rl.Compile(noisyPolicy(7, 2, true, true), 8)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
 	algs := func(m sim.Measure) []Algorithm {
-		return []Algorithm{ExactS{M: m}, SizeS{M: m, Xi: 4}, PSS{M: m}, POS{M: m}, POSD{M: m, D: 5}}
+		return []Algorithm{
+			ExactS{M: m}, SizeS{M: m, Xi: 4}, PSS{M: m}, POS{M: m}, POSD{M: m, D: 5},
+			RLS{M: m, Policy: constPolicy(1, 0, true, false)}, // RLS, always split
+			RLS{M: m, Policy: noisyPolicy(3, 3, true, true)},  // RLS-Skip
+			RLS{M: m, Policy: noisyPolicy(4, 3, false, true)}, // RLS-Skip+
+			RLS{M: m, Table: table},                           // compiled table serving
+		}
 	}
 
 	var total PruneStats
@@ -78,7 +104,7 @@ func TestPrunedScanEquivalence(t *testing.T) {
 					}
 					want := unprunedTopK(t, db, alg, q, k, f)
 					var st PruneStats
-					got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, f, nil, &st)
+					got, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, f, nil, &st, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -88,6 +114,11 @@ func TestPrunedScanEquivalence(t *testing.T) {
 					for i := range got {
 						if got[i] != want[i] {
 							t.Errorf("%s q%d rank %d: pruned %+v, unpruned %+v", name, qi, i, got[i], want[i])
+						}
+						// the serving walk records its scanned-point count, so
+						// quality sampling can price skips without a re-walk
+						if _, learned := alg.(RLS); learned && got[i].Result.Scanned <= 0 {
+							t.Errorf("%s q%d rank %d: match %+v has no Scanned count", name, qi, i, got[i])
 						}
 					}
 					total.Add(st)
@@ -105,10 +136,46 @@ func TestPrunedScanEquivalence(t *testing.T) {
 		100*float64(total.Scored)/float64(total.Candidates))
 }
 
-// TestPrunedScanSharedThreshold drives the same equivalence through the
-// parallel path, whose workers share the global k-th-best atomically.
+// concurrentTopK is the engine's per-shard scatter in miniature: scans
+// goroutines each rank a disjoint round-robin subset of the database with
+// TopKPrunedSourceCtx, all of them tightening one SharedKth, and the
+// per-scan top-ks are merged into the global top k.
+func concurrentTopK(t *testing.T, db *Database, alg Algorithm, q traj.Trajectory, k, scans int) []Match {
+	t.Helper()
+	subsets := make([][]int, scans)
+	for i := 0; i < db.Len(); i++ {
+		subsets[i%scans] = append(subsets[i%scans], i)
+	}
+	shared := NewSharedKth(k)
+	parts := make([][]Match, scans)
+	errs := make([]error, scans)
+	var wg sync.WaitGroup
+	for w := range subsets {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			src := CandidateSourceFunc(func(traj.Trajectory, *geo.Rect) []int { return subsets[w] })
+			parts[w], errs[w] = db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, shared, nil, src)
+		}(w)
+	}
+	wg.Wait()
+	var got []Match
+	for w := range parts {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		got = append(got, parts[w]...)
+	}
+	sort.Slice(got, func(i, j int) bool { return matchLess(got[i], got[j]) })
+	return got[:min(len(got), max(k, 0))]
+}
+
+// TestPrunedScanSharedThreshold drives the same equivalence through
+// concurrent scans (concurrentTopK): the merged per-scan top-ks must equal
+// the unpruned global ranking. Run under -race it also exercises the shared
+// threshold's synchronization.
 func TestPrunedScanSharedThreshold(t *testing.T) {
-	const k = 10
+	const k, scans = 10, 8
 	data := equivData(1000, 24, 21)
 	db := NewDatabase(data, false)
 	q := equivData(1, 9, 22)[0]
@@ -116,16 +183,13 @@ func TestPrunedScanSharedThreshold(t *testing.T) {
 		alg := ExactS{M: m}
 		want := unprunedTopK(t, db, alg, q, k, nil)
 		for run := 0; run < 3; run++ {
-			got, err := db.TopKParallelCtx(context.Background(), alg, q, k, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := concurrentTopK(t, db, alg, q, k, scans)
 			if len(got) != len(want) {
 				t.Fatalf("%s run %d: got %d matches, want %d", m.Name(), run, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Errorf("%s run %d rank %d: parallel pruned %+v, want %+v", m.Name(), run, i, got[i], want[i])
+					t.Errorf("%s run %d rank %d: concurrent pruned %+v, want %+v", m.Name(), run, i, got[i], want[i])
 				}
 			}
 		}

@@ -41,14 +41,6 @@ func (a RLS) params() (k int, useSuffix, simplify, ok bool) {
 	return 0, false, false, false
 }
 
-// src returns the action source matching params.
-func (a RLS) src() rl.ActorSource {
-	if a.Table != nil {
-		return a.Table
-	}
-	return a.Policy
-}
-
 // Name implements Algorithm: "RLS" for split-only policies, "RLS-Skip" for
 // policies with skip actions, with a "+" suffix when Θsuf is dropped.
 func (a RLS) Name() string {
@@ -79,7 +71,7 @@ func (a RLS) Search(t, q traj.Trajectory) Result {
 	if a.Table != nil {
 		env.WalkTable(a.Table)
 	} else {
-		actor := a.src().NewActor()
+		actor := a.Policy.NewActor()
 		defer actor.Release()
 		walk(env, actor)
 	}
@@ -89,14 +81,11 @@ func (a RLS) Search(t, q traj.Trajectory) Result {
 
 // walk drives one environment to completion with greedy actions, without
 // allocating per step.
-func walk(env *rl.SplitEnv, actor rl.Actor) {
+func walk(env *rl.SplitEnv, actor *rl.Actor) {
 	var state [3]float64
-	var action [1]int
 	dim := env.StateDim()
 	for !env.Done() {
-		env.StateInto(state[:dim])
-		actor.Actions(state[:dim], 1, action[:])
-		env.Step(action[0])
+		env.Step(actor.Action(env.StateInto(state[:dim])))
 	}
 }
 
@@ -139,7 +128,7 @@ func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 	if a.Table != nil {
 		s.table = a.Table
 	} else {
-		s.actor = a.src().NewActor()
+		s.actor = a.Policy.NewActor()
 	}
 	return s
 }
@@ -151,7 +140,7 @@ type rlsThresholdSearch struct {
 	lb        sim.SubtrajLB // non-nil only for full-state policies
 	env       *rl.SplitEnv
 	table     *rl.TablePolicy // serve from the fused table walk when set
-	actor     rl.Actor        // network actor otherwise
+	actor     *rl.Actor       // network actor otherwise
 	suf       []float64
 }
 

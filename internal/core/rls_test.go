@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -245,8 +246,9 @@ func TestSkippedFractionGuards(t *testing.T) {
 }
 
 // TestRLSThresholdScanMatchesUnpruned is the approximate-path counterpart
-// of the pruned≡unpruned equivalence matrix: a TopKPrunedCtx ranking must
-// be byte-identical to ranking every candidate's direct RLS.Search result.
+// of the pruned≡unpruned equivalence matrix: a TopKPrunedSourceCtx ranking
+// must be byte-identical to ranking every candidate's direct RLS.Search
+// result.
 // Full-state policies may skip candidates through the lower-bound cascade
 // (their tracked distances are genuine subtrajectory distances, which the
 // cascade bounds from below); simplified-state policies must not touch it.
@@ -270,7 +272,7 @@ func TestRLSThresholdScanMatchesUnpruned(t *testing.T) {
 		db := NewDatabase(ts, false)
 		for _, k := range []int{1, 5, 20} {
 			var st PruneStats
-			got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, NewSharedKth(k), &st)
+			got, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, NewSharedKth(k), &st, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,6 +294,145 @@ func TestRLSThresholdScanMatchesUnpruned(t *testing.T) {
 				t.Errorf("%s: simplified-state scan used the lower-bound cascade (%d LB skips)", alg.Name(), st.LBSkipped)
 			}
 		}
+	}
+}
+
+// TestBatchScanEquivalence drives the learned scans the way the engine
+// serves them: every TopKPrunedSourceCtx call carries a SharedKth, alone and
+// in the concurrent per-shard scatter (concurrentTopK). Across measures,
+// policies (network- and table-served) and spatial filters the ranking must
+// be byte-identical to the unpruned reference — the shared threshold's
+// completion-time post-filter must be invisible in the answer.
+func TestBatchScanEquivalence(t *testing.T) {
+	data := equivData(300, 18, 41)
+	db := NewDatabase(data, false)
+	q := equivData(1, 6, 42)[0]
+	filter := &geo.Rect{MinX: 0, MinY: 0, MaxX: 14, MaxY: 14}
+
+	table, err := rl.Compile(noisyPolicy(7, 2, true, true), 8)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	algs := func(m sim.Measure) []RLS {
+		return []RLS{
+			{M: m, Policy: constPolicy(1, 0, true, false)}, // RLS, always split
+			{M: m, Policy: noisyPolicy(3, 3, true, true)},  // RLS-Skip
+			{M: m, Policy: noisyPolicy(4, 3, false, true)}, // RLS-Skip+
+			{M: m, Table: table},                           // compiled table serving
+		}
+	}
+	const k = 10
+	same := func(name string, got, want []Match) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d matches, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s rank %d: shared-threshold scan %+v != unpruned %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, m := range []sim.Measure{sim.DTW{}, sim.Frechet{}} {
+		for ai, alg := range algs(m) {
+			for _, f := range []*geo.Rect{nil, filter} {
+				name := fmt.Sprintf("%s/%s alg%d filter=%v", m.Name(), alg.Name(), ai, f != nil)
+				want := unprunedTopK(t, db, alg, q, k, f)
+				var st PruneStats
+				got, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, f, NewSharedKth(k), &st, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(name, got, want)
+				if st.Candidates == 0 {
+					t.Fatalf("%s: scan saw no candidates", name)
+				}
+				if f == nil {
+					same(name+" concurrent", concurrentTopK(t, db, alg, q, k, 7), want)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchScanMidScanThreshold seeds the shared k-th best with a finite tau
+// before the scan starts — the cross-shard case where a sibling has already
+// found matches — and checks the learned scan's post-filter against it. The
+// seed values are uniform, so the external threshold component is constant
+// through the scan and the ranking is order-independent: exactly the k best
+// unpruned matches at distance <= tau.
+func TestBatchScanMidScanThreshold(t *testing.T) {
+	data := equivData(200, 16, 51)
+	db := NewDatabase(data, false)
+	q := equivData(1, 6, 52)[0]
+	const k = 8
+	alg := RLS{M: sim.DTW{}, Policy: noisyPolicy(9, 2, true, true)}
+
+	// pick tau at the median completed distance so the post-filter really
+	// suppresses about half of the candidates mid-scan
+	all := unprunedTopK(t, db, alg, q, len(data), nil)
+	tau := all[len(all)/2].Result.Dist
+	if math.IsInf(tau, 1) {
+		t.Fatal("reference scan produced no finite distances")
+	}
+	var want []Match
+	for _, mt := range all {
+		if mt.Result.Dist <= tau && len(want) < k {
+			want = append(want, mt)
+		}
+	}
+	shared := NewSharedKth(k)
+	for i := 0; i < k; i++ {
+		shared.Offer(tau)
+	}
+
+	var st PruneStats
+	got, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, shared, &st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d matches, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("rank %d: seeded scan %+v != k best unpruned at <= tau %+v", i, got[i], want[i])
+		}
+	}
+	if st.Abandoned == 0 {
+		t.Error("seeded tau never suppressed a completed walk")
+	}
+}
+
+// TestBatchScanDegenerate drives the learned scan through its guard paths: a
+// policy-less algorithm and an empty query rank every candidate at infinite
+// distance instead of panicking, and a cancelled context stops the scan
+// with the context's error.
+func TestBatchScanDegenerate(t *testing.T) {
+	db := NewDatabase(equivData(20, 10, 61), false)
+	q := equivData(1, 5, 62)[0]
+	live := RLS{M: sim.DTW{}, Policy: constPolicy(1, 0, true, false)}
+	for ci, c := range []struct {
+		alg RLS
+		q   traj.Trajectory
+	}{{RLS{M: sim.DTW{}}, q}, {RLS{M: sim.DTW{}, Policy: &rl.Policy{}}, q}, {live, traj.Trajectory{}}} {
+		got, err := db.TopKPrunedSourceCtx(context.Background(), c.alg, c.q, 5, nil, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 5 {
+			t.Fatalf("case %d: %d matches, want 5", ci, len(got))
+		}
+		for _, mt := range got {
+			if !math.IsInf(mt.Result.Dist, 1) {
+				t.Fatalf("case %d: degenerate scan produced a finite match %+v", ci, mt)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.TopKPrunedSourceCtx(ctx, live, q, 5, nil, nil, nil, nil); err != context.Canceled {
+		t.Fatalf("cancelled scan err = %v, want context.Canceled", err)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestSpatialSourceEquivalence(t *testing.T) {
 			for _, f := range []*geo.Rect{nil, filter} {
 				name := fmt.Sprintf("%s/%s/filter=%v", m.Name(), alg.Name(), f != nil)
 				for qi, q := range queries {
-					want, err := db.TopKPrunedCtx(context.Background(), alg, q, k, f, nil, nil)
+					want, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, f, nil, nil, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -117,25 +117,26 @@ func TestSourceThreadedThroughBatchAndStream(t *testing.T) {
 		subset = append(subset, i)
 	}
 	src := CandidateSourceFunc(func(traj.Trajectory, *geo.Rect) []int { return subset })
-	alg := ExactS{M: sim.DTW{}}
-	want := subsetRank(alg, data, subset, q, k)
 
-	got, err := db.TopKPrunedBatchSourceCtx(context.Background(), alg, q, k, nil, nil, nil, src, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("batch: got %d matches, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("batch rank %d: %+v, want %+v", i, got[i], want[i])
+	// the learned scan honors the source like every other algorithm
+	for _, alg := range []Algorithm{ExactS{M: sim.DTW{}}, RLS{M: sim.DTW{}, Policy: noisyPolicy(3, 3, true, true)}} {
+		want := subsetRank(alg, data, subset, q, k)
+		got, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, nil, nil, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: got %d matches, want %d", alg.Name(), len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s rank %d: %+v, want %+v", alg.Name(), i, got[i], want[i])
+			}
 		}
 	}
-
-	// the streaming scan sees exactly the subset too: collect and re-rank
+	// the streaming scan sees exactly the subset too
 	var streamed []Match
-	err = db.ScanPrunedSourceCtx(context.Background(), alg, q, nil, nil, nil, src, func(m Match) error {
+	err := db.ScanPrunedSourceCtx(context.Background(), ExactS{M: sim.DTW{}}, q, nil, nil, nil, src, func(m Match) error {
 		streamed = append(streamed, m)
 		return nil
 	})

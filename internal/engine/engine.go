@@ -7,7 +7,8 @@
 // The engine lifts the single-database search of internal/core to a
 // concurrent service: trajectories are distributed round-robin over shards
 // by global ID, each top-k query fans out one bounded task per shard
-// (core's cancellable heap-based TopKCtx), and the per-shard ascending
+// (core's cancellable heap-based Database.TopKPrunedSourceCtx, all shards
+// sharing one running k-th-best threshold), and the per-shard ascending
 // lists are k-way merged. Package server exposes it over HTTP.
 package engine
 
@@ -79,12 +80,6 @@ type Config struct {
 	// Stats.MeanRecall). 0 disables sampling; each sample costs one full
 	// unprefiltered scan.
 	RecallSample float64
-	// BatchLanes is the lockstep width of batched per-shard scans for
-	// algorithms with a batched path (the learned searches): each shard
-	// worker feeds candidates into this many lanes and advances them with
-	// one batched policy inference per round (default 64). 1 forces the
-	// sequential scan; rankings are byte-identical either way.
-	BatchLanes int
 	// QuerySlots bounds concurrently admitted queries (default Workers).
 	// Queries beyond it wait in the admission queue; see admission.go.
 	QuerySlots int
@@ -111,9 +106,6 @@ func (c *Config) fill() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchLanes <= 0 {
-		c.BatchLanes = 64
 	}
 	if c.QuerySlots <= 0 {
 		c.QuerySlots = c.Workers
@@ -380,7 +372,7 @@ func (s *shard) view() (*core.Database, *ann.Index) {
 	return s.db, s.ann
 }
 
-func (s *shard) topK(ctx context.Context, alg core.Algorithm, q traj.Trajectory, k int, filter *geo.Rect, shared *core.SharedKth, st *core.PruneStats, lanes int, annq *annQuery) ([]Match, error) {
+func (s *shard) topK(ctx context.Context, alg core.Algorithm, q traj.Trajectory, k int, filter *geo.Rect, shared *core.SharedKth, st *core.PruneStats, annq *annQuery) ([]Match, error) {
 	db, ix := s.view()
 	if db == nil {
 		return nil, nil
@@ -389,7 +381,7 @@ func (s *shard) topK(ctx context.Context, alg core.Algorithm, q traj.Trajectory,
 	if annq != nil && ix != nil {
 		src = annSource{db: db, ix: ix, q: annq}
 	}
-	local, err := db.TopKPrunedBatchSourceCtx(ctx, alg, q, k, filter, shared, st, src, lanes)
+	local, err := db.TopKPrunedSourceCtx(ctx, alg, q, k, filter, shared, st, src)
 	if err != nil {
 		return nil, err
 	}
@@ -869,7 +861,7 @@ func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query) ([]Ma
 				errs[i] = ferr
 				return
 			}
-			perShard[i], errs[i] = s.topK(ctx, alg, q.Q, q.K, q.Filter, shared, &stats[i], e.cfg.BatchLanes, annq)
+			perShard[i], errs[i] = s.topK(ctx, alg, q.Q, q.K, q.Filter, shared, &stats[i], annq)
 		}(i, s)
 	}
 	wg.Wait()

@@ -52,10 +52,7 @@ func TestEngineMatchesDatabase(t *testing.T) {
 		alg, _ := core.AlgorithmFor("exacts", m)
 		for _, kind := range []IndexKind{ScanAll, RTree} {
 			db := core.NewDatabaseIndexed(ts, kind.coreKind())
-			want, err := db.TopKCtx(context.Background(), alg, q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := db.TopK(alg, q, 10)
 			for _, shards := range []int{1, 3, 8} {
 				e := New(Config{Shards: shards, Index: kind})
 				e.Add(ts)

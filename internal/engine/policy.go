@@ -131,12 +131,15 @@ func (e *Engine) SetPolicy(p *rl.Policy) (PolicyInfo, error) {
 // onto a resolution^dim table (rl.Compile) registered alongside it, so
 // "rls"/"rls-skip" queries take O(1) action lookups instead of network
 // forward passes. Compilation failures — resolution out of bounds, a grid
-// too large, an invalid policy — are typed invalid_argument errors leaving
-// the current registration untouched. resolution 0 registers the plain
-// network-serving policy.
+// too large, a negative resolution, an invalid policy — are typed
+// invalid_argument errors leaving the current registration untouched.
+// resolution 0 registers the plain network-serving policy.
 func (e *Engine) SetPolicyCompiled(p *rl.Policy, resolution int) (PolicyInfo, error) {
 	if p == nil {
 		return PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "nil policy")
+	}
+	if resolution < 0 {
+		return PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "compile resolution must be non-negative, got %d", resolution)
 	}
 	if err := p.Validate(); err != nil {
 		return PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "%v", err)

@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// This file is the batched inference path: the serving-side restructuring
-// that turns per-state mat-vec policy evaluation into cross-request mat-mat
-// products. A batch of B state vectors is packed into one row-major B×In
-// matrix, each dense layer becomes a single blocked MatMulT against its
-// weight matrix, and the final argmax is fused into the output-layer loop.
+// This file is the batched inference path: rl.Compile fills a policy table
+// through it one slab of cell centers at a time, and the serving actor runs
+// it at b = 1 for allocation-free scalar inference. A batch of B state
+// vectors is packed into one row-major B×In matrix, each dense layer
+// becomes a single blocked MatMulT against its weight matrix, and the
+// final argmax is fused into the output-layer loop.
 // Scratch activations come from a sync.Pool, so steady-state batched
 // inference performs no allocation at all.
 //

@@ -262,11 +262,10 @@ func (e *SplitEnv) advance(action int) {
 // from the compiled table, fused into one loop: the state components are
 // quantized straight into the table's grid (the same cell mapping
 // TablePolicy.Action applies, so the action sequence is identical to
-// walking a tableActor) with no per-step actor dispatch and no reward
-// bookkeeping. The Θbest cell is recomputed only when the best distance
-// improves, which it does at most a handful of times per episode. This is
-// the serving fast path for table-backed searches — a table has no
-// inference worth batching, so the fused sequential walk is how both the
+// stepping with TablePolicy.Action per state) with no per-step dispatch and
+// no reward bookkeeping. The Θbest cell is recomputed only when the best
+// distance improves, which it does at most a handful of times per episode.
+// This is the serving fast path for table-backed searches: both the
 // one-shot and the scan paths run it.
 func (e *SplitEnv) WalkTable(tb *TablePolicy) {
 	res := tb.Resolution

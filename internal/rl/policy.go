@@ -36,38 +36,31 @@ func (p *Policy) NumActions() int { return 2 + p.K }
 // StateDim returns the width of the states the policy consumes.
 func (p *Policy) StateDim() int { return StateDim(p.UseSuffix) }
 
-// Actor is a greedy decision source a search walk (or a batch of walks in
-// lockstep) draws actions from: the Q network behind a Policy, or a
-// compiled TablePolicy. An Actor obtained from NewActor is single-
-// goroutine — it owns reusable inference scratch — and must be Released
-// when the scan ends; concurrent scans create one per worker.
-type Actor interface {
-	// Actions writes the greedy action for each of b packed dim-wide state
-	// rows into out[:b]. For a fixed state row the result is deterministic
-	// and independent of b and of the row's position — the property that
-	// makes batched lockstep walks byte-identical to sequential ones.
-	Actions(states []float64, b int, out []int)
-	// Release returns pooled scratch; the actor is unusable afterwards.
-	Release()
-}
-
-// netActor serves greedy actions from the policy network via the batched
-// zero-allocation inference path.
-type netActor struct {
+// Actor serves a Policy's greedy actions through the zero-allocation
+// inference path; Action is bit-identical to Policy.Action. An Actor is
+// single-goroutine — it owns reusable inference scratch — and must be
+// Released when the scan ends; concurrent scans create one per worker.
+// Compiled TablePolicies need none: SplitEnv.WalkTable reads the table
+// directly.
+type Actor struct {
 	net *nn.MLP
 	s   *nn.InferScratch
+	out [1]int
 }
 
 // NewActor returns a single-goroutine Actor over the policy network.
-func (p *Policy) NewActor() Actor {
-	return &netActor{net: p.Net, s: nn.NewInferScratch()}
+func (p *Policy) NewActor() *Actor {
+	return &Actor{net: p.Net, s: nn.NewInferScratch()}
 }
 
-func (a *netActor) Actions(states []float64, b int, out []int) {
-	a.net.InferBatchArgmax(a.s, states, b, out)
+// Action returns the greedy action for one state.
+func (a *Actor) Action(state []float64) int {
+	a.net.InferBatchArgmax(a.s, state, 1, a.out[:])
+	return a.out[0]
 }
 
-func (a *netActor) Release() { a.s.Release() }
+// Release returns pooled scratch; the actor is unusable afterwards.
+func (a *Actor) Release() { a.s.Release() }
 
 // MaxSkipActions bounds the skip-action count K a policy may declare. The
 // paper uses single-digit K; the bound exists so a corrupted or hostile

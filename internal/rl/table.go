@@ -77,21 +77,6 @@ func (t *TablePolicy) Action(state []float64) int {
 	return int(t.Actions[idx])
 }
 
-// NewActor returns an Actor over the table. The table is stateless at
-// serve time, so the actor is the table itself and Release is a no-op.
-func (t *TablePolicy) NewActor() Actor { return tableActor{t} }
-
-type tableActor struct{ t *TablePolicy }
-
-func (a tableActor) Actions(states []float64, b int, out []int) {
-	dim := a.t.StateDim()
-	for i := 0; i < b; i++ {
-		out[i] = a.t.Action(states[i*dim : (i+1)*dim])
-	}
-}
-
-func (tableActor) Release() {}
-
 // Fingerprint content-hashes the table (shape metadata plus every cell
 // action), so two tables answer queries identically whenever their
 // fingerprints match. The engine folds it into its policy fingerprint:

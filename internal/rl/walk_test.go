@@ -12,93 +12,56 @@ import (
 )
 
 // randomPolicy builds a policy with the DQN's random weight initialization:
-// its actions vary with the state, exercising the lockstep machinery far
-// harder than a constant policy would.
+// its actions vary with the state, exercising the walks far harder than a
+// constant policy would.
 func randomPolicy(seed int64, k int, useSuffix, simplify bool) *Policy {
 	dim := StateDim(useSuffix)
 	net := nn.NewMLP([]int{dim, 8, 2 + k}, []nn.Activation{nn.ReLU, nn.Sigmoid}, rand.New(rand.NewSource(seed)))
 	return &Policy{Net: net, K: k, UseSuffix: useSuffix, SimplifyState: simplify}
 }
 
-// sequentialWalk runs one scalar-path walk, returning what a batched lane
-// must reproduce exactly.
-func sequentialWalk(m sim.Measure, p *Policy, t, q traj.Trajectory) Walk {
-	env := NewSplitEnv(m, t, q, EnvConfig{UseSuffix: p.UseSuffix, SimplifyState: p.SimplifyState})
-	for !env.Done() {
-		env.Step(p.Action(env.State()))
-	}
-	iv, d := env.Best()
-	return Walk{Best: iv, Dist: d, Explored: env.Explored(), Scanned: env.Scanned()}
+// walkResult is everything a finished walk reports.
+type walkResult struct {
+	Best     traj.Interval
+	Dist     float64
+	Explored int
+	Scanned  int
 }
 
-func TestBatchRunnerMatchesSequentialWalks(t *testing.T) {
+func resultOf(env *SplitEnv) walkResult {
+	iv, d := env.Best()
+	return walkResult{Best: iv, Dist: d, Explored: env.Explored(), Scanned: env.Scanned()}
+}
+
+// TestActorWalkMatchesPolicyWalk pins the serving actor to Policy.Action:
+// a walk stepped through the allocation-free actor must report exactly
+// what the same walk stepped through the scalar Policy.Action path reports.
+func TestActorWalkMatchesPolicyWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m := sim.DTW{}
-	policies := []*Policy{
+	for pi, p := range []*Policy{
 		randomPolicy(1, 0, true, false), // RLS
 		randomPolicy(2, 3, true, true),  // RLS-Skip
 		randomPolicy(3, 3, false, true), // RLS-Skip+
 		constantPolicy(1, 0, true),      // always-split
-	}
-	for pi, p := range policies {
+	} {
 		q := randTraj(rng, 5)
-		cands := make([]traj.Trajectory, 40)
-		for i := range cands {
-			cands[i] = randTraj(rng, rng.Intn(25)+1)
-		}
-		want := make([]Walk, len(cands))
-		for i, c := range cands {
-			want[i] = sequentialWalk(m, p, c, q)
-		}
-		for _, width := range []int{1, 7, 64} {
-			r := NewBatchRunner(m, q, EnvConfig{UseSuffix: p.UseSuffix, SimplifyState: p.SimplifyState}, p, width)
-			got := make(map[int]Walk, len(cands))
-			collect := func(ws []Walk) {
-				for _, w := range ws {
-					if _, dup := got[w.Tag]; dup {
-						t.Fatalf("policy %d width %d: tag %d delivered twice", pi, width, w.Tag)
-					}
-					got[w.Tag] = w
-				}
+		cfg := EnvConfig{UseSuffix: p.UseSuffix, SimplifyState: p.SimplifyState}
+		actor := p.NewActor()
+		for i := 0; i < 40; i++ {
+			c := randTraj(rng, rng.Intn(25)+1)
+			ref, env := NewSplitEnv(m, c, q, cfg), NewSplitEnv(m, c, q, cfg)
+			for !ref.Done() {
+				ref.Step(p.Action(ref.State()))
 			}
-			for i, c := range cands {
-				collect(r.Add(i, c, c.Reverse()))
+			for !env.Done() {
+				env.Step(actor.Action(env.State()))
 			}
-			collect(r.Flush())
-			r.Release()
-			if len(got) != len(cands) {
-				t.Fatalf("policy %d width %d: %d walks delivered, want %d", pi, width, len(got), len(cands))
-			}
-			for i, w := range want {
-				g := got[i]
-				// bit-identical distance, same interval and counters: a
-				// batched lane must be indistinguishable from the scalar walk
-				if g.Best != w.Best || g.Dist != w.Dist || g.Explored != w.Explored || g.Scanned != w.Scanned {
-					t.Fatalf("policy %d width %d cand %d: batched %+v != sequential %+v", pi, width, i, g, w)
-				}
+			if got, want := resultOf(env), resultOf(ref); got != want {
+				t.Fatalf("policy %d cand %d: actor walk %+v != policy walk %+v", pi, i, got, want)
 			}
 		}
-	}
-}
-
-func TestBatchRunnerZeroMetaReversal(t *testing.T) {
-	// a zero-value reversal (no TrajMeta) must fall back to reversing
-	// locally, not corrupt suffix state
-	rng := rand.New(rand.NewSource(5))
-	m := sim.Frechet{}
-	p := randomPolicy(7, 2, true, true)
-	q := randTraj(rng, 4)
-	c := randTraj(rng, 12)
-	want := sequentialWalk(m, p, c, q)
-	r := NewBatchRunner(m, q, EnvConfig{UseSuffix: true, SimplifyState: true}, p, 4)
-	defer r.Release()
-	r.Add(0, c, traj.Trajectory{})
-	ws := r.Flush()
-	if len(ws) != 1 {
-		t.Fatalf("%d walks, want 1", len(ws))
-	}
-	if g := ws[0]; g.Best != want.Best || g.Dist != want.Dist || g.Explored != want.Explored {
-		t.Fatalf("zero-meta walk %+v != sequential %+v", ws[0], want)
+		actor.Release()
 	}
 }
 
@@ -277,7 +240,7 @@ func TestTableFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-func TestBatchRunnerTableMatchesNetWhenFaithful(t *testing.T) {
+func TestTableWalkMatchesNetWhenFaithful(t *testing.T) {
 	// with a constant policy the compiled table is exactly the network's
 	// greedy surface, so table-served walks must equal net-served walks
 	rng := rand.New(rand.NewSource(17))
@@ -292,24 +255,22 @@ func TestBatchRunnerTableMatchesNetWhenFaithful(t *testing.T) {
 	cfg := EnvConfig{UseSuffix: true, SimplifyState: true}
 	for i := 0; i < 10; i++ {
 		c := randTraj(rng, rng.Intn(15)+1)
-		rn := NewBatchRunner(m, q, cfg, p, 4)
-		rn.Add(0, c, c.Reverse())
-		wsNet := append([]Walk(nil), rn.Flush()...)
-		rn.Release()
-		rt := NewBatchRunner(m, q, cfg, table, 4)
-		rt.Add(0, c, c.Reverse())
-		wsTab := append([]Walk(nil), rt.Flush()...)
-		rt.Release()
-		if len(wsNet) != 1 || len(wsTab) != 1 || wsNet[0] != wsTab[0] {
-			t.Fatalf("cand %d: net walk %+v != table walk %+v", i, wsNet, wsTab)
+		net := NewSplitEnv(m, c, q, cfg)
+		for !net.Done() {
+			net.Step(p.Action(net.State()))
+		}
+		tab := NewSplitEnv(m, c, q, cfg)
+		tab.WalkTable(table)
+		if resultOf(net) != resultOf(tab) {
+			t.Fatalf("cand %d: net walk %+v != table walk %+v", i, resultOf(net), resultOf(tab))
 		}
 	}
 }
 
 // TestWalkTableMatchesActorWalk pins the fused table walk to the
-// actor-driven reference: for state-dependent tables of every MDP shape,
-// WalkTable must take exactly the action sequence a tableActor would, so
-// the walks agree on everything they report.
+// per-state reference: for state-dependent tables of every MDP shape,
+// WalkTable must take exactly the action sequence stepping with
+// TablePolicy.Action would, so the walks agree on everything they report.
 func TestWalkTableMatchesActorWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	m := sim.DTW{}
@@ -327,28 +288,14 @@ func TestWalkTableMatchesActorWalk(t *testing.T) {
 		cfg := EnvConfig{UseSuffix: p.UseSuffix, SimplifyState: p.SimplifyState}
 		for i := 0; i < 20; i++ {
 			c := randTraj(rng, rng.Intn(25)+1)
-
 			ref := NewSplitEnv(m, c, q, cfg)
-			actor := table.NewActor()
-			state := make([]float64, ref.StateDim())
-			action := make([]int, 1)
 			for !ref.Done() {
-				ref.StateInto(state)
-				actor.Actions(state, 1, action)
-				ref.Step(action[0])
+				ref.Step(table.Action(ref.State()))
 			}
-			actor.Release()
-
 			fused := NewSplitEnv(m, c, q, cfg)
 			fused.WalkTable(table)
-
-			ivRef, dRef := ref.Best()
-			ivFus, dFus := fused.Best()
-			if ivRef != ivFus || dRef != dFus ||
-				ref.Explored() != fused.Explored() || ref.Scanned() != fused.Scanned() {
-				t.Fatalf("policy %d cand %d: fused walk (%v, %v, %d, %d) != actor walk (%v, %v, %d, %d)",
-					pi, i, ivFus, dFus, fused.Explored(), fused.Scanned(),
-					ivRef, dRef, ref.Explored(), ref.Scanned())
+			if got, want := resultOf(fused), resultOf(ref); got != want {
+				t.Fatalf("policy %d cand %d: fused walk %+v != per-state walk %+v", pi, i, got, want)
 			}
 		}
 	}

@@ -153,7 +153,7 @@ func TestGridIndexedDatabaseAPI(t *testing.T) {
 	}
 	db := NewDatabaseIndexed(ts, GridFileIndex)
 	q := ts[4].Sub(3, 8)
-	top := db.TopKParallel(PrefixSuffix(DTW()), q, 3, 4)
+	top := db.TopK(PrefixSuffix(DTW()), q, 3)
 	if len(top) == 0 {
 		t.Fatal("no matches")
 	}
