@@ -233,7 +233,7 @@ func TestEmbeddingPersistenceReuse(t *testing.T) {
 	defer st2.Close()
 	if fp, ok := st2.EmbeddingInfo(); !ok {
 		t.Fatal("recovered store lost its embeddings")
-	} else if wantFP, _ := EncoderFingerprint(enc); fp != wantFP {
+	} else if wantFP, _ := fingerprint(enc); fp != wantFP {
 		t.Fatalf("recovered embedding fingerprint %x, want %x", fp, wantFP)
 	}
 	e2 := New(Config{Shards: 2, Index: ScanAll})

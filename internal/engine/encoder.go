@@ -1,11 +1,8 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sync"
 
 	"simsub/api"
@@ -17,10 +14,10 @@ import (
 )
 
 // This file is the encoder registry: the serving home of the t2vec
-// embedding stack, structured exactly like the policy registry (policy.go).
-// An engine holds at most one trajectory encoder, loaded at construction
-// (cmd/simsubd -encoder) or hot-swapped at runtime (POST /v2/admin/encoder
-// → SetEncoder). The encoder powers two query surfaces:
+// embedding stack. An engine holds at most one trajectory encoder, loaded
+// at construction (cmd/simsubd -encoder) or hot-swapped at runtime
+// (POST /v2/admin/encoder → SetEncoder). The encoder powers two query
+// surfaces:
 //
 //   - measure "t2vec" + algorithm "embed": pure embedding ranking
 //     (core.EmbedRank) — every data trajectory scored by the Euclidean
@@ -30,8 +27,8 @@ import (
 //     lower-bound cascade reranks it, so retained matches carry distances
 //     byte-identical to scoring those candidates directly.
 //
-// Swap correctness mirrors the policy registry: the encoder pointer is
-// read once per query, the fingerprint is folded into the result-cache key
+// Swap correctness: as for the policy, the encoder pointer is read once
+// per query and its fingerprint is folded into the result-cache key
 // (cacheKey.encoder / the fp slot for "embed"), and SetEncoder bumps the
 // store-generation seqlock while it re-embeds, so a ranking that raced a
 // swap can never enter the cache.
@@ -42,34 +39,8 @@ type encoderEntry struct {
 	fp    uint64
 }
 
-// EncoderInfo describes the engine's currently registered encoder.
-type EncoderInfo struct {
-	// Dim is the embedding dimensionality.
-	Dim int
-	// Grid is the token-grid resolution (0 for coordinate-input encoders).
-	Grid int
-	// Fingerprint is the hex content hash of the serialized encoder; it
-	// changes on every swap and is part of the result-cache key. The
-	// router verifies fleet-wide agreement on it after a broadcast swap.
-	Fingerprint string
-}
-
-// EncoderFingerprint content-hashes an encoder (FNV-1a over its serialized
-// form): two encoders embed identically whenever their fingerprints match,
-// so the fingerprint is a sound cache-key component and a sound
-// skip-re-encoding check during recovery.
-func EncoderFingerprint(m *t2vec.Model) (uint64, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return 0, err
-	}
-	h := fnv.New64a()
-	h.Write(buf.Bytes())
-	return h.Sum64(), nil
-}
-
-func encoderInfoFor(ent *encoderEntry) EncoderInfo {
-	return EncoderInfo{
+func encoderInfoFor(ent *encoderEntry) api.EncoderInfo {
+	return api.EncoderInfo{
 		Dim:         ent.model.Dim(),
 		Grid:        ent.model.Grid(),
 		Fingerprint: fmt.Sprintf("%016x", ent.fp),
@@ -84,16 +55,16 @@ func encoderInfoFor(ent *encoderEntry) EncoderInfo {
 // skips re-encoding. Swapping purges the result cache. Invalid encoders
 // are rejected with a typed invalid_argument error and leave the current
 // registration untouched.
-func (e *Engine) SetEncoder(m *t2vec.Model) (EncoderInfo, error) {
+func (e *Engine) SetEncoder(m *t2vec.Model) (api.EncoderInfo, error) {
 	if m == nil {
-		return EncoderInfo{}, api.Errorf(api.CodeInvalidArgument, "nil encoder")
+		return api.EncoderInfo{}, api.Errorf(api.CodeInvalidArgument, "nil encoder")
 	}
 	if m.Dim() <= 0 {
-		return EncoderInfo{}, api.Errorf(api.CodeInvalidArgument, "encoder has embedding dimension %d, want > 0", m.Dim())
+		return api.EncoderInfo{}, api.Errorf(api.CodeInvalidArgument, "encoder has embedding dimension %d, want > 0", m.Dim())
 	}
-	fp, err := EncoderFingerprint(m)
+	fp, err := fingerprint(m)
 	if err != nil {
-		return EncoderInfo{}, api.Errorf(api.CodeInvalidArgument, "fingerprinting encoder: %v", err)
+		return api.EncoderInfo{}, api.Errorf(api.CodeInvalidArgument, "fingerprinting encoder: %v", err)
 	}
 	ent := &encoderEntry{model: m, fp: fp}
 	e.addMu.Lock()
@@ -119,23 +90,12 @@ func (e *Engine) SetEncoder(m *t2vec.Model) (EncoderInfo, error) {
 
 // Encoder returns the registered encoder's description; ok is false when
 // none is loaded.
-func (e *Engine) Encoder() (EncoderInfo, bool) {
+func (e *Engine) Encoder() (api.EncoderInfo, bool) {
 	ent := e.encoder.Load()
 	if ent == nil {
-		return EncoderInfo{}, false
+		return api.EncoderInfo{}, false
 	}
 	return encoderInfoFor(ent), true
-}
-
-// EncoderModel returns the registered encoder model itself (nil when none
-// is loaded); the admin surface uses it to re-serialize the encoder for
-// broadcast.
-func (e *Engine) EncoderModel() *t2vec.Model {
-	ent := e.encoder.Load()
-	if ent == nil {
-		return nil
-	}
-	return ent.model
 }
 
 // annQuery is the per-query ANN prefilter state handed to each shard: the
@@ -202,26 +162,10 @@ func (e *Engine) annCheck(q Query) (*encoderEntry, *api.Error) {
 // sampled fraction of ANN-prefiltered queries the engine reruns the same
 // search without the prefilter and records the top-k overlap (recall@k).
 type recallTracker struct {
+	shadow    sampler
 	mu        sync.Mutex
-	rng       *rand.Rand
 	samples   int64
 	recallSum float64
-}
-
-// sampled rolls the per-query sampling decision at the given rate.
-func (t *recallTracker) sampled(rate float64) bool {
-	if rate <= 0 {
-		return false
-	}
-	if rate >= 1 {
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rng == nil {
-		t.rng = rand.New(rand.NewSource(1))
-	}
-	return t.rng.Float64() < rate
 }
 
 func (t *recallTracker) record(recall float64) {

@@ -1,11 +1,11 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"sync"
 
@@ -44,45 +44,15 @@ type policyEntry struct {
 	fp uint64
 }
 
-// PolicyInfo describes the engine's currently registered policy.
-type PolicyInfo struct {
-	// Name is the algorithm realized by the policy: "RLS", "RLS-Skip" or
-	// "RLS-Skip+".
-	Name string
-	// K is the policy's skip-action count (0 for plain RLS).
-	K int
-	// UseSuffix reports whether states carry the Θsuf component.
-	UseSuffix bool
-	// SimplifyState reports RLS-Skip's skipped-point state simplification.
-	SimplifyState bool
-	// Fingerprint is the hex form of the serving fingerprint (the policy's
-	// content hash, folded with the compiled table's when one is
-	// installed); it changes on every swap or recompile and is part of the
-	// result-cache key.
-	Fingerprint string
-	// Compiled reports whether a compiled table policy is serving actions;
-	// the remaining fields are meaningful only then.
-	Compiled bool
-	// CompileResolution is the table's per-dimension grid resolution.
-	CompileResolution int
-	// CompileDivergence is the action-divergence rate measured at compile
-	// time: the fraction of validation probes where the network's greedy
-	// action differs from the table's.
-	CompileDivergence float64
-	// CompiledFingerprint is the hex content hash of the table itself.
-	CompiledFingerprint string
-}
-
-// PolicyFingerprint content-hashes a policy (FNV-1a over its serialized
-// form): two policies answer queries identically whenever their
-// fingerprints match, so the fingerprint is a sound cache-key component.
-func PolicyFingerprint(p *rl.Policy) (uint64, error) {
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+// fingerprint content-hashes a model (FNV-1a over its serialized form):
+// two policies, or two encoders, serve identically whenever their
+// fingerprints match, so the fingerprint is a sound cache-key component
+// and a sound skip-re-encoding check during recovery.
+func fingerprint(m interface{ Save(io.Writer) error }) (uint64, error) {
+	h := fnv.New64a()
+	if err := m.Save(h); err != nil {
 		return 0, err
 	}
-	h := fnv.New64a()
-	h.Write(buf.Bytes())
 	return h.Sum64(), nil
 }
 
@@ -98,8 +68,8 @@ func combinedFingerprint(base, table uint64) uint64 {
 }
 
 // policyInfoFor derives the user-facing description of a registered entry.
-func policyInfoFor(ent *policyEntry) PolicyInfo {
-	info := PolicyInfo{
+func policyInfoFor(ent *policyEntry) api.PolicyInfo {
+	info := api.PolicyInfo{
 		Name:          core.RLS{Policy: ent.p, Table: ent.table}.Name(),
 		K:             ent.p.K,
 		UseSuffix:     ent.p.UseSuffix,
@@ -122,7 +92,7 @@ func policyInfoFor(ent *policyEntry) PolicyInfo {
 // rejected with a typed invalid_argument error and leave the current
 // registration untouched. Safe for concurrent use with in-flight queries:
 // each query pins the policy pointer it resolved.
-func (e *Engine) SetPolicy(p *rl.Policy) (PolicyInfo, error) {
+func (e *Engine) SetPolicy(p *rl.Policy) (api.PolicyInfo, error) {
 	return e.SetPolicyCompiled(p, 0)
 }
 
@@ -134,25 +104,25 @@ func (e *Engine) SetPolicy(p *rl.Policy) (PolicyInfo, error) {
 // too large, a negative resolution, an invalid policy — are typed
 // invalid_argument errors leaving the current registration untouched.
 // resolution 0 registers the plain network-serving policy.
-func (e *Engine) SetPolicyCompiled(p *rl.Policy, resolution int) (PolicyInfo, error) {
+func (e *Engine) SetPolicyCompiled(p *rl.Policy, resolution int) (api.PolicyInfo, error) {
 	if p == nil {
-		return PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "nil policy")
+		return api.PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "nil policy")
 	}
 	if resolution < 0 {
-		return PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "compile resolution must be non-negative, got %d", resolution)
+		return api.PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "compile resolution must be non-negative, got %d", resolution)
 	}
 	if err := p.Validate(); err != nil {
-		return PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "%v", err)
+		return api.PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "%v", err)
 	}
-	fp, err := PolicyFingerprint(p)
+	fp, err := fingerprint(p)
 	if err != nil {
-		return PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "fingerprinting policy: %v", err)
+		return api.PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "fingerprinting policy: %v", err)
 	}
 	ent := &policyEntry{p: p, fp: fp}
 	if resolution > 0 {
 		table, err := rl.Compile(p, resolution)
 		if err != nil {
-			return PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "compiling policy table: %v", err)
+			return api.PolicyInfo{}, api.Errorf(api.CodeInvalidArgument, "compiling policy table: %v", err)
 		}
 		ent.table = table
 		ent.fp = combinedFingerprint(fp, table.Fingerprint())
@@ -164,10 +134,10 @@ func (e *Engine) SetPolicyCompiled(p *rl.Policy, resolution int) (PolicyInfo, er
 
 // Policy returns the registered policy's description; ok is false when none
 // is loaded.
-func (e *Engine) Policy() (PolicyInfo, bool) {
+func (e *Engine) Policy() (api.PolicyInfo, bool) {
 	ent := e.policy.Load()
 	if ent == nil {
-		return PolicyInfo{}, false
+		return api.PolicyInfo{}, false
 	}
 	return policyInfoFor(ent), true
 }
@@ -243,35 +213,43 @@ func (e *Engine) ResolveAlgorithm(measure, algorithm string, p Params) (core.Alg
 	return alg, err
 }
 
-// qualityTracker accumulates the sampled serving-quality aggregates the
-// paper reports for the learned searches (Tables 4–5): the approximation
-// ratio and rank of approximate rankings against the exact ranking, and the
-// skipped-point fraction of skip policies.
-type qualityTracker struct {
-	mu           sync.Mutex
-	rng          *rand.Rand
-	samples      int64
-	ratioSum     float64
-	ratioSamples int64
-	rankSum      float64
-	skipSum      float64
-	skipSamples  int64
+// sampler rolls the per-query decision to shadow a served query with a
+// reference rescan, for the sampled telemetry trackers: always at rate
+// ≥ 1, never at rate ≤ 0 (without taking the lock), and otherwise a draw
+// from the tracker's own deterministic stream.
+type sampler struct {
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
-// sampled rolls the per-query sampling decision at the given rate.
-func (t *qualityTracker) sampled(rate float64) bool {
+func (s *sampler) sampled(rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
 	if rate >= 1 {
 		return true
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rng == nil {
-		t.rng = rand.New(rand.NewSource(1))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(1))
 	}
-	return t.rng.Float64() < rate
+	return s.rng.Float64() < rate
+}
+
+// qualityTracker accumulates the sampled serving-quality aggregates the
+// paper reports for the learned searches (Tables 4–5): the approximation
+// ratio and rank of approximate rankings against the exact ranking, and the
+// skipped-point fraction of skip policies.
+type qualityTracker struct {
+	shadow       sampler
+	mu           sync.Mutex
+	samples      int64
+	ratioSum     float64
+	ratioSamples int64
+	rankSum      float64
+	skipSum      float64
+	skipSamples  int64
 }
 
 func (t *qualityTracker) record(q core.ApproxQuality, hasSkip bool) {

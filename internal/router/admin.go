@@ -1,39 +1,28 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"time"
 
 	"simsub/api"
+	"simsub/internal/rl"
+	"simsub/internal/t2vec"
 )
 
-// SwapPolicy broadcasts a learned-search policy swap to every node of the
-// fleet. A Path request is resolved against the ROUTER's filesystem — the
-// file is read once here and shipped to the nodes as bytes, since the
-// nodes' local filesystems are not the operator's. The swap is
-// all-or-nothing in intent but not atomic across the fleet: every node
-// must accept it, and a mixed outcome is reported as an error naming the
-// nodes that rejected it (the accepted nodes keep serving the new policy —
-// re-issue the swap to converge). On success every node's fingerprint is
-// verified to agree.
-func (r *Router) SwapPolicy(ctx context.Context, req api.PolicySwapRequest) (*api.PolicyInfo, error) {
-	if (req.Path == "") == (req.PolicyB64 == "") {
-		return nil, api.Errorf(api.CodeInvalidArgument, "exactly one of path or policy_b64 must be set")
-	}
-	if req.Path != "" {
-		raw, err := os.ReadFile(req.Path)
-		if err != nil {
-			return nil, api.Errorf(api.CodeInvalidArgument, "reading policy file: %v", err)
-		}
-		req = api.PolicySwapRequest{PolicyB64: base64.StdEncoding.EncodeToString(raw)}
-	}
-
-	infos := make([]*api.PolicyInfo, len(r.nodes))
+// fanOut calls every node concurrently — each attempt bounded by
+// NodeTimeout and observed for node health — and returns the per-node
+// results and errors in node order. Every fleet-wide admin and telemetry
+// call goes through it, so one hung node cannot stall any of them.
+func fanOut[T any](ctx context.Context, r *Router, call func(context.Context, *node) (T, error)) ([]T, []error) {
+	vals := make([]T, len(r.nodes))
 	errs := make([]error, len(r.nodes))
 	var wg sync.WaitGroup
 	for i, n := range r.nodes {
@@ -43,50 +32,125 @@ func (r *Router) SwapPolicy(ctx context.Context, req api.PolicySwapRequest) (*ap
 			actx, cancel := r.attemptCtx(ctx)
 			defer cancel()
 			start := time.Now()
-			info, err := n.c.SwapPolicy(actx, req)
-			n.observe(start, err)
-			if err != nil {
-				errs[i] = fmt.Errorf("node %s: %w", n.base, err)
-				return
-			}
-			infos[i] = info
+			vals[i], errs[i] = call(actx, n)
+			n.observe(start, errs[i])
 		}(i, n)
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, api.Errorf(api.CodeInternal, "policy broadcast incomplete, fleet may be serving mixed policies — re-issue the swap: %v", err)
-	}
-	for i, info := range infos[1:] {
-		if info.Fingerprint != infos[0].Fingerprint {
-			return nil, api.Errorf(api.CodeInternal,
-				"fleet diverged after swap: node %s reports fingerprint %s, node %s reports %s",
-				r.nodes[0].base, infos[0].Fingerprint, r.nodes[i+1].base, info.Fingerprint)
-		}
-	}
-	return infos[0], nil
+	return vals, errs
 }
 
-// Policy reports the fleet's registered policy. Every reachable node must
-// agree on the fingerprint; a divergent fleet is an internal error (it
-// would serve learned queries inconsistently).
-func (r *Router) Policy(ctx context.Context) (*api.PolicyInfo, error) {
-	infos := make([]*api.PolicyInfo, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			info, err := n.c.Policy(actx)
-			n.observe(start, err)
-			infos[i], errs[i] = info, err
-		}(i, n)
+// modelKind describes one hot-swappable model kind for the shared fleet
+// broadcast and readback; Info is its wire description.
+type modelKind[Info any] struct {
+	// name ("policy" or "encoder") names the model in errors and in the
+	// swap request's base64 field.
+	name string
+	// parse checks that file bytes hold a valid model of this kind.
+	parse func(io.Reader) error
+	// fingerprint reads the content fingerprint off a node's description.
+	fingerprint func(*Info) string
+}
+
+var (
+	policyKind = modelKind[api.PolicyInfo]{
+		name:        "policy",
+		parse:       func(rd io.Reader) error { _, err := rl.Load(rd); return err },
+		fingerprint: func(i *api.PolicyInfo) string { return i.Fingerprint },
 	}
-	wg.Wait()
-	var first *api.PolicyInfo
+	encoderKind = modelKind[api.EncoderInfo]{
+		name:        "encoder",
+		parse:       func(rd io.Reader) error { _, err := t2vec.Load(rd); return err },
+		fingerprint: func(i *api.EncoderInfo) string { return i.Fingerprint },
+	}
+)
+
+// source resolves a swap request's model to the base64 bytes broadcast to
+// the nodes: exactly one of path and b64 must be set. A path names a file
+// on the ROUTER's filesystem — the nodes' filesystems are not the
+// operator's — so it is read and parsed here and fails exactly as a node
+// fails for its own paths: not_found when missing, internal on any other
+// read failure, and invalid_argument without the parse error (which can
+// echo the file's contents) when it holds no valid model. Caller-supplied
+// bytes pass through for the nodes to judge.
+func (k modelKind[Info]) source(path, b64 string) (string, error) {
+	if (path == "") == (b64 == "") {
+		return "", api.Errorf(api.CodeInvalidArgument, "exactly one of path or %s_b64 must be set", k.name)
+	}
+	if path == "" {
+		return b64, nil
+	}
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return "", api.Errorf(api.CodeNotFound, "%s file %q does not exist", k.name, path)
+	}
+	if err != nil {
+		var perr *fs.PathError
+		if errors.As(err, &perr) {
+			err = perr.Err // the message names the path already
+		}
+		return "", api.Errorf(api.CodeInternal, "reading %s file %q: %v", k.name, path, err)
+	}
+	if k.parse(bytes.NewReader(raw)) != nil {
+		return "", api.Errorf(api.CodeInvalidArgument, "file %q is not a valid %s", path, k.name)
+	}
+	return base64.StdEncoding.EncodeToString(raw), nil
+}
+
+// broadcast sends one swap to every node and verifies the fleet agrees on
+// the new fingerprint. The swap is all-or-nothing in intent but not
+// atomic across the fleet. When every node rejects it as invalid_argument
+// no node swapped, so the first node's rejection is returned as is. Any
+// other failure — a rejection by some nodes only, or a node that could
+// not be reached and may or may not have swapped — is an internal error
+// naming each failing node: the accepting nodes keep serving the new
+// model, and re-issuing the swap converges the fleet.
+func (k modelKind[Info]) broadcast(ctx context.Context, r *Router, swap func(context.Context, *node) (*Info, error)) (*Info, error) {
+	infos, errs := fanOut(ctx, r, swap)
+	rejected := 0
+	for _, err := range errs {
+		if err != nil && api.FromError(err).Code == api.CodeInvalidArgument {
+			rejected++
+		}
+	}
+	if rejected == len(errs) {
+		return nil, api.FromError(errs[0])
+	}
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("node %s: %w", r.nodes[i].base, err)
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, api.Errorf(api.CodeInternal,
+			"%s broadcast incomplete, fleet may be serving mixed models — re-issue the swap: %v", k.name, err)
+	}
+	return k.agree(r, infos)
+}
+
+// read fetches every node's registered model and returns it once every
+// answering node agrees on the fingerprint; a diverged fleet is an
+// internal error, since it would serve the same query inconsistently.
+// When no node answers with a model the first typed rejection (usually
+// not_found: none registered) is returned.
+func (k modelKind[Info]) read(ctx context.Context, r *Router, get func(context.Context, *node) (*Info, error)) (*Info, error) {
+	infos, errs := fanOut(ctx, r, get)
+	info, err := k.agree(r, infos)
+	if info != nil || err != nil {
+		return info, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, api.FromError(err)
+		}
+	}
+	return nil, api.Errorf(api.CodeNotFound, "no %s registered", k.name)
+}
+
+// agree returns the first non-nil description after checking that every
+// other one reports the same fingerprint.
+func (k modelKind[Info]) agree(r *Router, infos []*Info) (*Info, error) {
+	var first *Info
 	firstNode := ""
 	for i, info := range infos {
 		if info == nil {
@@ -96,124 +160,59 @@ func (r *Router) Policy(ctx context.Context) (*api.PolicyInfo, error) {
 			first, firstNode = info, r.nodes[i].base
 			continue
 		}
-		if info.Fingerprint != first.Fingerprint {
+		if k.fingerprint(info) != k.fingerprint(first) {
 			return nil, api.Errorf(api.CodeInternal,
-				"fleet policies diverged: node %s reports fingerprint %s, node %s reports %s — re-issue the swap",
-				firstNode, first.Fingerprint, r.nodes[i].base, info.Fingerprint)
+				"fleet %s fingerprints diverged: node %s reports %s, node %s reports %s — re-issue the swap",
+				k.name, firstNode, k.fingerprint(first), r.nodes[i].base, k.fingerprint(info))
 		}
 	}
-	if first != nil {
-		return first, nil
+	return first, nil
+}
+
+// SwapPolicy broadcasts a learned-search policy swap to every node of the
+// fleet (see modelKind.source for Path requests and modelKind.broadcast
+// for the outcome); CompileResolution rides along to every node.
+func (r *Router) SwapPolicy(ctx context.Context, req api.PolicySwapRequest) (*api.PolicyInfo, error) {
+	b64, err := policyKind.source(req.Path, req.PolicyB64)
+	if err != nil {
+		return nil, err
 	}
-	// no node answered with a policy: propagate the first typed rejection
-	// (usually not_found: no policy registered)
-	for _, err := range errs {
-		if err != nil {
-			return nil, api.FromError(err)
-		}
-	}
-	return nil, api.Errorf(api.CodeNotFound, "no policy registered")
+	req.Path, req.PolicyB64 = "", b64
+	return policyKind.broadcast(ctx, r, func(ctx context.Context, n *node) (*api.PolicyInfo, error) {
+		return n.c.SwapPolicy(ctx, req)
+	})
+}
+
+// Policy reports the fleet's registered policy; every reachable node must
+// agree on its fingerprint.
+func (r *Router) Policy(ctx context.Context) (*api.PolicyInfo, error) {
+	return policyKind.read(ctx, r, func(ctx context.Context, n *node) (*api.PolicyInfo, error) {
+		return n.c.Policy(ctx)
+	})
 }
 
 // SwapEncoder broadcasts a t2vec encoder swap to every node of the fleet,
-// enabling the "ann" prefilter and the "embed" ranking fleet-wide. A Path
-// request is resolved against the ROUTER's filesystem — the file is read
-// once here and shipped to the nodes as bytes. Like SwapPolicy the
-// broadcast is all-or-nothing in intent but not atomic: a mixed outcome is
-// reported as an error naming the rejecting nodes (re-issue to converge),
-// and on success every node's fingerprint is verified to agree — a
-// diverged fleet would rank the same ann query against different
-// embedding spaces per shard group.
+// enabling the "ann" prefilter and the "embed" ranking fleet-wide. Fleet
+// agreement matters even more than for the policy: a diverged fleet would
+// rank the same ann query against different embedding spaces per shard
+// group.
 func (r *Router) SwapEncoder(ctx context.Context, req api.EncoderSwapRequest) (*api.EncoderInfo, error) {
-	if (req.Path == "") == (req.EncoderB64 == "") {
-		return nil, api.Errorf(api.CodeInvalidArgument, "exactly one of path or encoder_b64 must be set")
+	b64, err := encoderKind.source(req.Path, req.EncoderB64)
+	if err != nil {
+		return nil, err
 	}
-	if req.Path != "" {
-		raw, err := os.ReadFile(req.Path)
-		if err != nil {
-			return nil, api.Errorf(api.CodeInvalidArgument, "reading encoder file: %v", err)
-		}
-		req = api.EncoderSwapRequest{EncoderB64: base64.StdEncoding.EncodeToString(raw)}
-	}
-
-	infos := make([]*api.EncoderInfo, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			info, err := n.c.SwapEncoder(actx, req)
-			n.observe(start, err)
-			if err != nil {
-				errs[i] = fmt.Errorf("node %s: %w", n.base, err)
-				return
-			}
-			infos[i] = info
-		}(i, n)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, api.Errorf(api.CodeInternal, "encoder broadcast incomplete, fleet may be serving mixed encoders — re-issue the swap: %v", err)
-	}
-	for i, info := range infos[1:] {
-		if info.Fingerprint != infos[0].Fingerprint {
-			return nil, api.Errorf(api.CodeInternal,
-				"fleet diverged after swap: node %s reports encoder fingerprint %s, node %s reports %s",
-				r.nodes[0].base, infos[0].Fingerprint, r.nodes[i+1].base, info.Fingerprint)
-		}
-	}
-	return infos[0], nil
+	req.Path, req.EncoderB64 = "", b64
+	return encoderKind.broadcast(ctx, r, func(ctx context.Context, n *node) (*api.EncoderInfo, error) {
+		return n.c.SwapEncoder(ctx, req)
+	})
 }
 
-// Encoder reports the fleet's registered encoder. Every reachable node
-// must agree on the fingerprint; a divergent fleet is an internal error
-// (ann candidates would come from inconsistent embedding spaces).
+// Encoder reports the fleet's registered encoder; every reachable node
+// must agree on its fingerprint.
 func (r *Router) Encoder(ctx context.Context) (*api.EncoderInfo, error) {
-	infos := make([]*api.EncoderInfo, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			info, err := n.c.Encoder(actx)
-			n.observe(start, err)
-			infos[i], errs[i] = info, err
-		}(i, n)
-	}
-	wg.Wait()
-	var first *api.EncoderInfo
-	firstNode := ""
-	for i, info := range infos {
-		if info == nil {
-			continue
-		}
-		if first == nil {
-			first, firstNode = info, r.nodes[i].base
-			continue
-		}
-		if info.Fingerprint != first.Fingerprint {
-			return nil, api.Errorf(api.CodeInternal,
-				"fleet encoders diverged: node %s reports fingerprint %s, node %s reports %s — re-issue the swap",
-				firstNode, first.Fingerprint, r.nodes[i].base, info.Fingerprint)
-		}
-	}
-	if first != nil {
-		return first, nil
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, api.FromError(err)
-		}
-	}
-	return nil, api.Errorf(api.CodeNotFound, "no encoder registered")
+	return encoderKind.read(ctx, r, func(ctx context.Context, n *node) (*api.EncoderInfo, error) {
+		return n.c.Encoder(ctx)
+	})
 }
 
 // Stats aggregates fleet telemetry, best-effort: unreachable nodes
@@ -223,23 +222,9 @@ func (r *Router) Encoder(ctx context.Context) (*api.EncoderInfo, error) {
 // avoid double counting, work counters over every node, since replicas do
 // independent work. The Router section is the coordinator's own telemetry.
 func (r *Router) Stats(ctx context.Context) (*api.StatsResponse, error) {
-	stats := make([]*api.StatsResponse, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			st, err := n.c.Stats(actx)
-			n.observe(start, err)
-			if err == nil {
-				stats[i] = st
-			}
-		}(i, n)
-	}
-	wg.Wait()
+	stats, _ := fanOut(ctx, r, func(ctx context.Context, n *node) (*api.StatsResponse, error) {
+		return n.c.Stats(ctx)
+	})
 
 	var agg api.Stats
 	var measures []string
@@ -355,26 +340,14 @@ func durMS(d time.Duration) float64 {
 // Health probes every node; it succeeds when every group has at least one
 // healthy replica (the fleet can still answer complete queries).
 func (r *Router) Health(ctx context.Context) error {
-	ok := make([]bool, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			err := n.c.Health(actx)
-			n.observe(start, err)
-			ok[i] = err == nil
-		}(i, n)
-	}
-	wg.Wait()
+	_, errs := fanOut(ctx, r, func(ctx context.Context, n *node) (struct{}, error) {
+		return struct{}{}, n.c.Health(ctx)
+	})
 	idx := 0
 	for gi, g := range r.groups {
 		healthy := false
 		for range g.replicas {
-			healthy = healthy || ok[idx]
+			healthy = healthy || errs[idx] == nil
 			idx++
 		}
 		if !healthy {

@@ -62,10 +62,10 @@ func NewHandler(r *Router, opts HandlerOptions) *Handler {
 	h.mux.HandleFunc("POST /v2/query/stream", h.handleQueryStream)
 	h.mux.HandleFunc("GET /v2/trajectories/{id}", h.handleGetTrajectory)
 	h.mux.HandleFunc("GET /v2/stats", h.handleStats)
-	h.mux.HandleFunc("POST /v2/admin/policy", h.handlePolicySwap)
-	h.mux.HandleFunc("GET /v2/admin/policy", h.handlePolicyGet)
-	h.mux.HandleFunc("POST /v2/admin/encoder", h.handleEncoderSwap)
-	h.mux.HandleFunc("GET /v2/admin/encoder", h.handleEncoderGet)
+	h.mux.HandleFunc("POST /v2/admin/policy", adminHandler(h, r.SwapPolicy))
+	h.mux.HandleFunc("GET /v2/admin/policy", adminHandler(h, noBody(r.Policy)))
+	h.mux.HandleFunc("POST /v2/admin/encoder", adminHandler(h, r.SwapEncoder))
+	h.mux.HandleFunc("GET /v2/admin/encoder", adminHandler(h, noBody(r.Encoder)))
 	h.mux.HandleFunc("GET /healthz", h.handleHealthz)
 	if opts.EnableFailpoints {
 		h.mux.Handle("/v2/admin/failpoints", server.FailpointsHandler())
@@ -227,56 +227,29 @@ func (h *Handler) handleGetTrajectory(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
-func (h *Handler) handlePolicySwap(w http.ResponseWriter, r *http.Request) {
-	var req api.PolicySwapRequest
-	if !decode(w, r, &req) {
-		return
+// adminHandler serves one model-admin route: run the fleet call under the
+// request's context and answer its result or typed error. POST routes
+// first decode the request body into Req.
+func adminHandler[Req, Info any](h *Handler, call func(context.Context, Req) (*Info, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if r.Method == http.MethodPost && !decode(w, r, &req) {
+			return
+		}
+		ctx, cancel := h.requestContext(r, 0)
+		defer cancel()
+		info, err := call(ctx, req)
+		if err != nil {
+			writeErr(w, api.FromError(err))
+			return
+		}
+		writeJSON(w, http.StatusOK, info)
 	}
-	ctx, cancel := h.requestContext(r, 0)
-	defer cancel()
-	info, err := h.r.SwapPolicy(ctx, req)
-	if err != nil {
-		writeErr(w, api.FromError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
 }
 
-func (h *Handler) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := h.requestContext(r, 0)
-	defer cancel()
-	info, err := h.r.Policy(ctx)
-	if err != nil {
-		writeErr(w, api.FromError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (h *Handler) handleEncoderSwap(w http.ResponseWriter, r *http.Request) {
-	var req api.EncoderSwapRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	ctx, cancel := h.requestContext(r, 0)
-	defer cancel()
-	info, err := h.r.SwapEncoder(ctx, req)
-	if err != nil {
-		writeErr(w, api.FromError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (h *Handler) handleEncoderGet(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := h.requestContext(r, 0)
-	defer cancel()
-	info, err := h.r.Encoder(ctx)
-	if err != nil {
-		writeErr(w, api.FromError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+// noBody adapts a readback to adminHandler's request-taking shape.
+func noBody[Info any](read func(context.Context) (*Info, error)) func(context.Context, struct{}) (*Info, error) {
+	return func(ctx context.Context, _ struct{}) (*Info, error) { return read(ctx) }
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {

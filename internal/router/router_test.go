@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/base64"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,6 +23,7 @@ import (
 	"simsub/internal/nn"
 	"simsub/internal/rl"
 	"simsub/internal/server"
+	"simsub/internal/t2vec"
 	"simsub/internal/traj"
 )
 
@@ -490,53 +495,228 @@ func TestRouterBoundPropagationPrunes(t *testing.T) {
 	}
 }
 
-// TestRouterPolicyBroadcast swaps a learned-search policy through the
-// router and checks every node serves it, fingerprints agree, and a
-// diverged fleet is detected.
-func TestRouterPolicyBroadcast(t *testing.T) {
-	nodes := startFleet(t, 3)
-	r := newTestRouter(t, nodes, nil)
+// modelCase drives the fleet model-admin tests through the same steps for
+// each hot-swappable model kind; fingerprints stand in for the kind's
+// wire description.
+type modelCase struct {
+	kind string
+	// save serializes the model the tests broadcast.
+	save func(io.Writer) error
+	// header is a well-formed file header of this kind after its tag,
+	// so that a wrong tag in front of it is echoed in the parse error.
+	header string
+	// swap and read call the router's broadcast and readback.
+	swap func(r *Router, path, b64 string) (string, error)
+	read func(r *Router) (string, error)
+	// registered reads one node's fingerprint directly off its engine.
+	registered func(*engine.Engine) (string, bool)
+	// diverge registers a different model on one node behind the router.
+	diverge func(*engine.Engine) error
+}
 
-	if _, err := r.Policy(context.Background()); err == nil {
-		t.Fatal("policy reported before any was registered")
+func modelCases() []modelCase {
+	return []modelCase{
+		{
+			kind:   "policy",
+			save:   testPolicy(1, 0, true).Save,
+			header: " 0 0 0\n",
+			swap: func(r *Router, path, b64 string) (string, error) {
+				info, err := r.SwapPolicy(context.Background(), api.PolicySwapRequest{Path: path, PolicyB64: b64})
+				if err != nil {
+					return "", err
+				}
+				return info.Fingerprint, nil
+			},
+			read: func(r *Router) (string, error) {
+				info, err := r.Policy(context.Background())
+				if err != nil {
+					return "", err
+				}
+				return info.Fingerprint, nil
+			},
+			registered: func(e *engine.Engine) (string, bool) {
+				info, ok := e.Policy()
+				return info.Fingerprint, ok
+			},
+			diverge: func(e *engine.Engine) error {
+				_, err := e.SetPolicy(testPolicy(0, 2, false))
+				return err
+			},
+		},
+		{
+			kind:   "encoder",
+			save:   t2vec.NewRandomModel(4, 1).Save,
+			header: " 0 0 0 1 1\n",
+			swap: func(r *Router, path, b64 string) (string, error) {
+				info, err := r.SwapEncoder(context.Background(), api.EncoderSwapRequest{Path: path, EncoderB64: b64})
+				if err != nil {
+					return "", err
+				}
+				return info.Fingerprint, nil
+			},
+			read: func(r *Router) (string, error) {
+				info, err := r.Encoder(context.Background())
+				if err != nil {
+					return "", err
+				}
+				return info.Fingerprint, nil
+			},
+			registered: func(e *engine.Engine) (string, bool) {
+				info, ok := e.Encoder()
+				return info.Fingerprint, ok
+			},
+			diverge: func(e *engine.Engine) error {
+				_, err := e.SetEncoder(t2vec.NewRandomModel(4, 2))
+				return err
+			},
+		},
 	}
+}
 
-	p := testPolicy(1, 0, true)
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+// writeFile writes a file in the test's temporary directory and returns
+// its path.
+func writeFile(t *testing.T, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	req := api.PolicySwapRequest{PolicyB64: base64.StdEncoding.EncodeToString(buf.Bytes())}
+	return path
+}
+
+func wantCode(t *testing.T, what string, err error, code api.Code) {
+	t.Helper()
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != code {
+		t.Errorf("%s: error %v, want typed %s", what, err, code)
+	}
+}
+
+// TestRouterModelBroadcast swaps each model kind through the router and
+// checks every node serves it, fingerprints agree, a path swap ships the
+// router-local file, and a diverged fleet is detected.
+func TestRouterModelBroadcast(t *testing.T) {
+	for _, mc := range modelCases() {
+		t.Run(mc.kind, func(t *testing.T) {
+			nodes := startFleet(t, 3)
+			r := newTestRouter(t, nodes, nil)
+
+			_, err := mc.read(r)
+			wantCode(t, "readback before any registration", err, api.CodeNotFound)
+
+			var buf bytes.Buffer
+			if err := mc.save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			fp, err := mc.swap(r, "", base64.StdEncoding.EncodeToString(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("broadcast swap: %v", err)
+			}
+			if fp == "" {
+				t.Fatal("swap returned no fingerprint")
+			}
+			for i, n := range nodes {
+				if got, ok := mc.registered(n.eng); !ok || got != fp {
+					t.Fatalf("node %d serves fingerprint %q (registered %v), want %q", i, got, ok, fp)
+				}
+			}
+			if got, err := mc.read(r); err != nil || got != fp {
+				t.Fatalf("router readback: %q, %v", got, err)
+			}
+
+			// the same bytes named by a router-local path serve the same model
+			path := writeFile(t, "model", buf.Bytes())
+			if got, err := mc.swap(r, path, ""); err != nil || got != fp {
+				t.Fatalf("path swap: %q, %v (want %q)", got, err, fp)
+			}
+
+			// diverge one node behind the router's back: the readback must
+			// refuse to pretend the fleet is consistent
+			if err := mc.diverge(nodes[2].eng); err != nil {
+				t.Fatal(err)
+			}
+			_, err = mc.read(r)
+			wantCode(t, "diverged fleet readback", err, api.CodeInternal)
+
+			// swap requests must name exactly one source
+			_, err = mc.swap(r, "", "")
+			wantCode(t, "empty swap request", err, api.CodeInvalidArgument)
+		})
+	}
+}
+
+// TestRouterModelSwapErrors pins the broadcast's error contract for each
+// model kind: a router-local path fails like a node's own path (not_found
+// when missing, internal for unreadable, a redacted invalid_argument that
+// never echoes the file's contents when it holds no model), a swap every
+// node rejects stays invalid_argument, and only a mixed outcome — here one
+// node down while the others swap — is internal.
+func TestRouterModelSwapErrors(t *testing.T) {
+	const secret = "TOPSECRET-token-123"
+	for _, mc := range modelCases() {
+		t.Run(mc.kind, func(t *testing.T) {
+			junk := writeFile(t, "junk", []byte(secret+mc.header))
+			nodes := startFleet(t, 2)
+			r := newTestRouter(t, nodes, nil)
+			cases := []struct {
+				name, path, b64 string
+				code            api.Code
+			}{
+				{"both fields", "x", "eA==", api.CodeInvalidArgument},
+				{"missing file", "/nonexistent/model", "", api.CodeNotFound},
+				{"unreadable file", t.TempDir(), "", api.CodeInternal},
+				{"router-local non-model file", junk, "", api.CodeInvalidArgument},
+				{"bad base64", "", "!!!", api.CodeInvalidArgument},
+				{"bytes every node rejects", "", base64.StdEncoding.EncodeToString([]byte("nope")), api.CodeInvalidArgument},
+			}
+			for _, c := range cases {
+				_, err := mc.swap(r, c.path, c.b64)
+				wantCode(t, c.name, err, c.code)
+				if err != nil && strings.Contains(err.Error(), secret) {
+					t.Errorf("%s: error leaks the file's contents: %v", c.name, err)
+				}
+				for i, n := range nodes {
+					if _, ok := mc.registered(n.eng); ok {
+						t.Fatalf("%s: node %d registered a model", c.name, i)
+					}
+				}
+			}
+
+			var buf bytes.Buffer
+			if err := mc.save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			nodes[1].srv.Close()
+			_, err := mc.swap(r, "", base64.StdEncoding.EncodeToString(buf.Bytes()))
+			wantCode(t, "swap with one node down", err, api.CodeInternal)
+			if _, ok := mc.registered(nodes[0].eng); !ok {
+				t.Fatal("the reachable node did not swap")
+			}
+		})
+	}
+}
+
+// TestRouterPolicyPathSwapCompiles checks a path swap keeps the request's
+// compile resolution: every node must serve the compiled table.
+func TestRouterPolicyPathSwapCompiles(t *testing.T) {
+	nodes := startFleet(t, 2)
+	r := newTestRouter(t, nodes, nil)
+	var buf bytes.Buffer
+	if err := testPolicy(1, 0, true).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	req := api.PolicySwapRequest{Path: writeFile(t, "policy", buf.Bytes()), CompileResolution: 8}
 	info, err := r.SwapPolicy(context.Background(), req)
 	if err != nil {
-		t.Fatalf("broadcast swap: %v", err)
+		t.Fatalf("path swap: %v", err)
 	}
-	if info.Fingerprint == "" {
-		t.Fatal("swap returned no fingerprint")
+	if !info.Compiled || info.CompileResolution != 8 {
+		t.Fatalf("router reports %+v, want a table at resolution 8", info)
 	}
 	for i, n := range nodes {
-		ni, ok := n.eng.Policy()
-		if !ok || ni.Fingerprint != info.Fingerprint {
-			t.Fatalf("node %d does not serve the broadcast policy (%+v)", i, ni)
+		if ni, ok := n.eng.Policy(); !ok || !ni.Compiled || ni.CompileResolution != 8 {
+			t.Fatalf("node %d serves %+v, want a table at resolution 8", i, ni)
 		}
-	}
-	got, err := r.Policy(context.Background())
-	if err != nil || got.Fingerprint != info.Fingerprint {
-		t.Fatalf("router policy readback: %+v, %v", got, err)
-	}
-
-	// diverge one node behind the router's back: the readback must refuse
-	// to pretend the fleet is consistent
-	if _, err := nodes[2].eng.SetPolicy(testPolicy(0, 2, false)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Policy(context.Background()); err == nil {
-		t.Fatal("diverged fleet not detected")
-	}
-
-	// swap requests must name exactly one source
-	if _, err := r.SwapPolicy(context.Background(), api.PolicySwapRequest{}); err == nil {
-		t.Fatal("empty swap request accepted")
 	}
 }
 

@@ -545,48 +545,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	es := s.eng.Stats()
 	writeJSON(w, http.StatusOK, api.StatsResponse{
-		Engine: api.Stats{
-			Trajectories:              es.Trajectories,
-			Points:                    es.Points,
-			Shards:                    es.Shards,
-			Workers:                   es.Workers,
-			Queries:                   es.Queries,
-			CacheHits:                 es.CacheHits,
-			CacheMisses:               es.CacheMisses,
-			CacheEntries:              es.CacheEntries,
-			InFlight:                  es.InFlight,
-			CandidatesSeen:            es.CandidatesSeen,
-			LBSkipped:                 es.LBSkipped,
-			EarlyAbandoned:            es.EarlyAbandoned,
-			Shed:                      es.Shed,
-			ShedExpensive:             es.ShedExpensive,
-			DeadlineRejects:           es.DeadlineRejects,
-			DegradedQueries:           es.DegradedQueries,
-			QueueDepth:                es.QueueDepth,
-			QueueWaitMS:               es.QueueWaitMS,
-			Shedding:                  es.Shedding,
-			PolicyLoaded:              es.PolicyLoaded,
-			PolicyName:                es.PolicyName,
-			PolicyFingerprint:         es.PolicyFingerprint,
-			PolicyCompiled:            es.PolicyCompiled,
-			PolicyCompileResolution:   es.PolicyCompileResolution,
-			PolicyCompileDivergence:   es.PolicyCompileDivergence,
-			PolicyCompiledFingerprint: es.PolicyCompiledFingerprint,
-			RLSQueries:                es.RLSQueries,
-			QualitySamples:            es.QualitySamples,
-			ApproxRatio:               es.ApproxRatio,
-			MeanRank:                  es.MeanRank,
-			SkippedFraction:           es.SkippedFraction,
-			EncoderLoaded:             es.EncoderLoaded,
-			EncoderFingerprint:        es.EncoderFingerprint,
-			EncoderDim:                es.EncoderDim,
-			EncoderGrid:               es.EncoderGrid,
-			ANNQueries:                es.ANNQueries,
-			RecallSamples:             es.RecallSamples,
-			MeanRecall:                es.MeanRecall,
-		},
+		Engine:        s.eng.Stats(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
 		Measures:      sim.Names(),

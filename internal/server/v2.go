@@ -5,8 +5,10 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"io"
 	"io/fs"
 	"net/http"
+	"os"
 	"strconv"
 
 	"simsub/api"
@@ -121,86 +123,96 @@ func (s *Server) handleGetTrajectory(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.TrajectoryRecord{ID: id, Trajectory: api.FromTraj(t)})
 }
 
-// policyInfoToAPI converts the engine's policy description to wire form.
-func policyInfoToAPI(info engine.PolicyInfo) api.PolicyInfo {
-	return api.PolicyInfo{
-		Name:                info.Name,
-		K:                   info.K,
-		UseSuffix:           info.UseSuffix,
-		SimplifyState:       info.SimplifyState,
-		Fingerprint:         info.Fingerprint,
-		Compiled:            info.Compiled,
-		CompileResolution:   info.CompileResolution,
-		CompileDivergence:   info.CompileDivergence,
-		CompiledFingerprint: info.CompiledFingerprint,
+// loadModel parses the model a swap request names: exactly one of a
+// server-local file path or caller-supplied base64 bytes. kind ("policy"
+// or "encoder") names the model in errors and in the base64 field. A
+// missing file is not_found and any other read failure internal — an
+// I/O problem, not a bad model, so the operator is not sent off to
+// re-train. A file that fails to parse is reported without its parse
+// error, which can echo fragments of a server-local file; caller-supplied
+// bytes get the full parse error, which leaks nothing.
+func loadModel[M any](kind, path, b64 string, parse func(io.Reader) (M, error)) (M, *api.Error) {
+	var zero M
+	if (path == "") == (b64 == "") {
+		return zero, api.Errorf(api.CodeInvalidArgument, "exactly one of path or %s_b64 must be set", kind)
 	}
+	var raw []byte
+	var err error
+	if path != "" {
+		raw, err = os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return zero, api.Errorf(api.CodeNotFound, "%s file %q does not exist", kind, path)
+		}
+		if err != nil {
+			var perr *fs.PathError
+			if errors.As(err, &perr) {
+				err = perr.Err // the message names the path already
+			}
+			return zero, api.Errorf(api.CodeInternal, "reading %s file %q: %v", kind, path, err)
+		}
+	} else if raw, err = base64.StdEncoding.DecodeString(b64); err != nil {
+		return zero, api.Errorf(api.CodeInvalidArgument, "decoding %s_b64: %v", kind, err)
+	}
+	m, err := parse(bytes.NewReader(raw))
+	if err != nil {
+		if path != "" {
+			return zero, api.Errorf(api.CodeInvalidArgument, "file %q is not a valid %s", path, kind)
+		}
+		return zero, api.Errorf(api.CodeInvalidArgument, "loading %s: %v", kind, err)
+	}
+	return m, nil
 }
 
-// handlePolicySwap answers POST /v2/admin/policy: load a policy from a
-// server-local file path or inline base64 bytes, validate it, and register
-// it as the serving policy of the "rls" / "rls-skip" algorithms. The swap
-// purges the result cache and changes the policy fingerprint, so no cached
-// ranking computed under the previous policy can ever be served again. A
-// policy that fails validation (corrupted file, inconsistent network
-// shape, non-finite weights) is rejected with invalid_argument and the
-// previous registration keeps serving.
+// handlePolicySwap answers POST /v2/admin/policy: load a policy (see
+// loadModel), validate it, and register it as the serving policy of the
+// "rls" / "rls-skip" algorithms, compiled onto a lookup table when
+// compile_resolution > 0. The swap purges the result cache and changes
+// the policy fingerprint, so no cached ranking computed under the
+// previous policy can ever be served again. A policy that fails
+// validation (corrupted file, inconsistent network shape, non-finite
+// weights, unservable resolution) is rejected with invalid_argument and
+// the previous registration keeps serving.
 func (s *Server) handlePolicySwap(w http.ResponseWriter, r *http.Request) {
 	var req api.PolicySwapRequest
 	if !decode(w, r, &req) {
 		return
 	}
-	if (req.Path == "") == (req.PolicyB64 == "") {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "exactly one of path or policy_b64 must be set"))
+	p, aerr := loadModel("policy", req.Path, req.PolicyB64, rl.Load)
+	if aerr != nil {
+		writeErr(w, aerr)
 		return
 	}
-	if req.CompileResolution < 0 {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "compile_resolution must be non-negative, got %d", req.CompileResolution))
+	info, err := s.eng.SetPolicyCompiled(p, req.CompileResolution)
+	if err != nil {
+		writeErr(w, api.FromError(err))
 		return
 	}
-	var (
-		p   *rl.Policy
-		err error
-	)
-	if req.Path != "" {
-		p, err = rl.LoadFile(req.Path)
-		if errors.Is(err, fs.ErrNotExist) {
-			writeErr(w, api.Errorf(api.CodeNotFound, "policy file %q does not exist", req.Path))
-			return
-		}
-		var perr *fs.PathError
-		if errors.As(err, &perr) {
-			// an I/O-level failure (permissions, directory, ...), not a bad
-			// policy — don't misdirect the operator toward re-training
-			writeErr(w, api.Errorf(api.CodeInternal, "reading policy file %q: %v", req.Path, perr.Err))
-			return
-		}
-		if err != nil {
-			// the parse error can echo fragments of the named file (e.g. a
-			// bad header tag), and this endpoint reads server-local paths —
-			// keep file contents out of the response
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "file %q is not a valid policy", req.Path))
-			return
-		}
-	} else {
-		var raw []byte
-		raw, err = base64.StdEncoding.DecodeString(req.PolicyB64)
-		if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "decoding policy_b64: %v", err))
-			return
-		}
-		// the caller supplied these bytes, so the parse error leaks nothing
-		p, err = rl.Load(bytes.NewReader(raw))
-		if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "loading policy: %v", err))
-			return
-		}
-	}
-	info, serr := s.eng.SetPolicyCompiled(p, req.CompileResolution)
-	if serr != nil {
-		writeErr(w, api.FromError(serr))
+	writeJSON(w, http.StatusOK, info)
+}
+
+// handleEncoderSwap answers POST /v2/admin/encoder: load a t2vec encoder
+// (see loadModel) and register it as the corpus embedder. Registration
+// re-embeds every stored trajectory, rebuilds the per-shard ANN indexes,
+// purges the result cache and changes the encoder fingerprint — so the
+// ann prefilter and the "embed" ranking switch atomically and no stale
+// cached ranking survives. An encoder that fails to parse is rejected
+// with invalid_argument and the previous registration keeps serving.
+func (s *Server) handleEncoderSwap(w http.ResponseWriter, r *http.Request) {
+	var req api.EncoderSwapRequest
+	if !decode(w, r, &req) {
 		return
 	}
-	writeJSON(w, http.StatusOK, policyInfoToAPI(info))
+	m, aerr := loadModel("encoder", req.Path, req.EncoderB64, t2vec.Load)
+	if aerr != nil {
+		writeErr(w, aerr)
+		return
+	}
+	info, err := s.eng.SetEncoder(m)
+	if err != nil {
+		writeErr(w, api.FromError(err))
+		return
+	}
+	writeJSON(w, http.StatusOK, info)
 }
 
 // handlePolicyGet answers GET /v2/admin/policy with the registered
@@ -211,75 +223,7 @@ func (s *Server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.Errorf(api.CodeNotFound, "no policy loaded"))
 		return
 	}
-	writeJSON(w, http.StatusOK, policyInfoToAPI(info))
-}
-
-// encoderInfoToAPI converts the engine's encoder description to wire form.
-func encoderInfoToAPI(info engine.EncoderInfo) api.EncoderInfo {
-	return api.EncoderInfo{
-		Dim:         info.Dim,
-		Grid:        info.Grid,
-		Fingerprint: info.Fingerprint,
-	}
-}
-
-// handleEncoderSwap answers POST /v2/admin/encoder: load a t2vec encoder
-// from a server-local file path or inline base64 bytes and register it as
-// the corpus embedder. Registration re-embeds every stored trajectory,
-// rebuilds the per-shard ANN indexes, purges the result cache and changes
-// the encoder fingerprint — so the ann prefilter and the "embed" ranking
-// switch atomically and no stale cached ranking survives. An encoder that
-// fails to parse is rejected with invalid_argument and the previous
-// registration keeps serving.
-func (s *Server) handleEncoderSwap(w http.ResponseWriter, r *http.Request) {
-	var req api.EncoderSwapRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if (req.Path == "") == (req.EncoderB64 == "") {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "exactly one of path or encoder_b64 must be set"))
-		return
-	}
-	var (
-		m   *t2vec.Model
-		err error
-	)
-	if req.Path != "" {
-		m, err = t2vec.LoadFile(req.Path)
-		if errors.Is(err, fs.ErrNotExist) {
-			writeErr(w, api.Errorf(api.CodeNotFound, "encoder file %q does not exist", req.Path))
-			return
-		}
-		var perr *fs.PathError
-		if errors.As(err, &perr) {
-			writeErr(w, api.Errorf(api.CodeInternal, "reading encoder file %q: %v", req.Path, perr.Err))
-			return
-		}
-		if err != nil {
-			// same redaction rationale as the policy path: the parse error can
-			// echo fragments of a server-local file
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "file %q is not a valid encoder", req.Path))
-			return
-		}
-	} else {
-		var raw []byte
-		raw, err = base64.StdEncoding.DecodeString(req.EncoderB64)
-		if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "decoding encoder_b64: %v", err))
-			return
-		}
-		m, err = t2vec.Load(bytes.NewReader(raw))
-		if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "loading encoder: %v", err))
-			return
-		}
-	}
-	info, serr := s.eng.SetEncoder(m)
-	if serr != nil {
-		writeErr(w, api.FromError(serr))
-		return
-	}
-	writeJSON(w, http.StatusOK, encoderInfoToAPI(info))
+	writeJSON(w, http.StatusOK, info)
 }
 
 // handleEncoderGet answers GET /v2/admin/encoder with the registered
@@ -290,7 +234,7 @@ func (s *Server) handleEncoderGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.Errorf(api.CodeNotFound, "no encoder loaded"))
 		return
 	}
-	writeJSON(w, http.StatusOK, encoderInfoToAPI(info))
+	writeJSON(w, http.StatusOK, info)
 }
 
 // compile-time guarantee that the engine backing this server satisfies the

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -308,6 +311,46 @@ func TestV2GetTrajectory(t *testing.T) {
 		decodeBody(t, resp, &er)
 		if er.Err.Code != wantCode {
 			t.Errorf("%s: code %q, want %q", path, er.Err.Code, wantCode)
+		}
+	}
+}
+
+// TestAdminModelSwapPathErrors pins the shared loader's handling of
+// server-local paths for both model kinds: a path that cannot be read is
+// internal (an I/O problem, not a bad model), and a file that holds no
+// valid model is invalid_argument without echoing the file's contents.
+func TestAdminModelSwapPathErrors(t *testing.T) {
+	const secret = "TOPSECRET-token-123"
+	srv, _ := newTestServer(t, engine.Config{Shards: 1})
+	for _, tc := range []struct {
+		route, header string
+	}{
+		// each header parses up to its tag, so the parser echoes the tag
+		{"/v2/admin/policy", " 0 0 0\n"},
+		{"/v2/admin/encoder", " 0 0 0 1 1\n"},
+	} {
+		junk := filepath.Join(t.TempDir(), "junk")
+		if err := os.WriteFile(junk, []byte(secret+tc.header), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			path   string
+			status int
+			code   api.Code
+		}{
+			{t.TempDir(), http.StatusInternalServerError, api.CodeInternal},
+			{junk, http.StatusBadRequest, api.CodeInvalidArgument},
+		} {
+			resp := postJSON(t, srv.URL+tc.route, map[string]string{"path": c.path})
+			status := resp.StatusCode
+			var er api.ErrorResponse
+			decodeBody(t, resp, &er)
+			if status != c.status || er.Err.Code != c.code {
+				t.Errorf("%s %s: status %d error %+v, want %d %s", tc.route, c.path, status, er.Err, c.status, c.code)
+			}
+			if strings.Contains(er.Err.Message, secret) {
+				t.Errorf("%s: error leaks the file's contents: %s", tc.route, er.Err.Message)
+			}
 		}
 	}
 }

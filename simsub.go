@@ -90,11 +90,11 @@ type (
 	// EngineMatch is one ranked Engine answer, identified by global ID.
 	EngineMatch = engine.Match
 	// EngineStats is a snapshot of Engine counters.
-	EngineStats = engine.Stats
+	EngineStats = api.Stats
 	// EnginePolicyInfo describes an Engine's registered RLS/RLS-Skip
 	// policy (Engine.SetPolicy / Engine.Policy); with one registered, the
 	// engine serves the learned "rls" / "rls-skip" algorithms.
-	EnginePolicyInfo = engine.PolicyInfo
+	EnginePolicyInfo = api.PolicyInfo
 
 	// Searcher answers batched v2 queries; *Engine (in-process) and
 	// *Client (remote) both satisfy it, so local and remote search are
