@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"simsub/api"
+	"simsub/internal/failpoint"
 )
 
 // --- admitter unit tests ---
@@ -151,6 +153,74 @@ func TestDeadlineBudgetRejectsEarly(t *testing.T) {
 	}
 }
 
+// TestDeadlineBudgetRejectsStreamEarly: streamed scans feed the cost
+// model like unary ones, so a client that only streams still has hopeless
+// queries rejected early instead of burning their budget.
+func TestDeadlineBudgetRejectsStreamEarly(t *testing.T) {
+	e := seededEngine(t)
+	// every shard scan sleeps 20ms first, so each observed scan — and the
+	// estimate learned from them — costs at least that
+	if err := failpoint.Enable("engine/scan", "sleep(20ms)"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.DisableAll()
+	rng := rand.New(rand.NewSource(3))
+	discard := func(Match) error { return nil }
+	for i := 0; i < costMinSamples; i++ {
+		q := Query{Q: randTraj(rng, 5), K: 3, Measure: "dtw", Algorithm: "pss"}
+		if _, _, err := e.TopKStream(context.Background(), q, discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, known := e.cost.estimate("dtw", "pss", e.Len()); !known {
+		t.Fatal("streamed scans did not feed the cost model")
+	}
+	// 10ms of budget beyond the merge reserve cannot fit a ≥20ms scan
+	ctx, cancel := context.WithTimeout(context.Background(), e.cfg.MergeReserve+10*time.Millisecond)
+	defer cancel()
+	q := Query{Q: randTraj(rng, 5), K: 3, Measure: "dtw", Algorithm: "pss"}
+	_, _, err := e.TopKStream(ctx, q, discard)
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeDeadlineExceeded || !strings.Contains(ae.Message, "predicted") {
+		t.Fatalf("got %v, want a predicted-cost deadline_exceeded", err)
+	}
+	if got := e.Stats().DeadlineRejects; got != 1 {
+		t.Fatalf("DeadlineRejects = %d, want 1", got)
+	}
+}
+
+// TestStreamCostExcludesListener: time the caller spends inside emit is
+// not scan cost. A slow consumer must not inflate the estimate that unary
+// queries of the same class are admitted against.
+func TestStreamCostExcludesListener(t *testing.T) {
+	e := seededEngine(t)
+	const nap = 10 * time.Millisecond
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < costMinSamples; i++ {
+		q := Query{Q: randTraj(rng, 5), K: 3, Measure: "dtw", Algorithm: "pss"}
+		emitted := 0
+		if _, _, err := e.TopKStream(context.Background(), q, func(Match) error {
+			emitted++
+			time.Sleep(nap)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if emitted == 0 {
+			t.Fatal("streamed query emitted nothing")
+		}
+	}
+	est, known := e.cost.estimate("dtw", "pss", e.Len())
+	if !known {
+		t.Fatal("streamed scans did not feed the cost model")
+	}
+	// every observed query spent at least one nap in its listener; the pss
+	// scan of 30 short trajectories itself costs a small fraction of one
+	if est >= nap {
+		t.Fatalf("estimate %v after listener naps of %v: the listener's time was counted as scan cost", est, nap)
+	}
+}
+
 func TestBudgetDegradesWithOptIn(t *testing.T) {
 	e := seededEngine(t)
 	forceCost(e, "dtw", "exacts", time.Second) // exacts cannot fit
@@ -158,7 +228,7 @@ func TestBudgetDegradesWithOptIn(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	q := Query{Q: randTraj(rand.New(rand.NewSource(2)), 5), K: 3, Measure: "dtw", Algorithm: "exacts", AllowDegraded: true}
-	full, _, _, deg, err := e.topK(ctx, q)
+	full, _, _, deg, err := e.topK(ctx, q, nil)
 	if err != nil {
 		t.Fatalf("topK: %v", err)
 	}
@@ -180,7 +250,7 @@ func TestNeverDegradedWithoutOptIn(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	q := Query{Q: randTraj(rand.New(rand.NewSource(2)), 5), K: 3, Measure: "dtw", Algorithm: "exacts"}
-	_, _, _, deg, err := e.topK(ctx, q)
+	_, _, _, deg, err := e.topK(ctx, q, nil)
 	var ae *api.Error
 	if !errors.As(err, &ae) || ae.Code != api.CodeDeadlineExceeded {
 		t.Fatalf("without opt-in: got %v, want deadline_exceeded (never a silent fallback)", err)

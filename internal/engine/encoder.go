@@ -107,11 +107,17 @@ type annQuery struct {
 	probes int
 }
 
-// annQueryFor derives the per-shard prefilter state, splitting the query's
-// total candidate budget evenly across shards (rounding up, so the global
-// budget is a floor — every shard contributes, mirroring how the exact
-// scan's top-k merge draws from every shard).
-func (e *Engine) annQueryFor(ent *encoderEntry, q Query) *annQuery {
+// annQueryFor derives the per-shard prefilter state shared by every shard
+// worker of one scan (nil without a prefilter or a registered encoder): the
+// query embedding, computed once, and the query's total candidate budget
+// split evenly across shards (rounding up, so the global budget is a floor
+// — every shard contributes, mirroring how the exact scan's top-k merge
+// draws from every shard).
+func (e *Engine) annQueryFor(q Query) *annQuery {
+	ent := e.encoder.Load()
+	if q.ANN == nil || ent == nil {
+		return nil
+	}
 	n := len(e.shards)
 	return &annQuery{
 		qEmb:   ent.model.QueryEmbedding(q.Q),

@@ -9,7 +9,9 @@
 // by global ID, each top-k query fans out one bounded task per shard
 // (core's cancellable heap-based Database.TopKPrunedSourceCtx, all shards
 // sharing one running k-th-best threshold), and the per-shard ascending
-// lists are k-way merged. Package server exposes it over HTTP.
+// lists are k-way merged. A streamed query runs the same pipeline with a
+// collector scan stage in place of the merge (see stream.go). Package
+// server exposes it over HTTP.
 package engine
 
 import (
@@ -230,7 +232,7 @@ type shard struct {
 	db    *core.Database
 	// ann indexes the shard's embeddings (TrajMeta.Emb) for the approximate
 	// candidate prefilter; nil until an encoder is registered. Rebuilt
-	// together with db, so a view() pair is always consistent.
+	// together with db, so a scanView pair is always consistent.
 	ann *ann.Index
 }
 
@@ -288,41 +290,19 @@ func (s *shard) reembed(enc *encoderEntry) [][]float64 {
 	return embs
 }
 
-// snapshot returns the shard's current database, which is immutable once
-// built and therefore safe to search after the lock is released.
-func (s *shard) snapshot() *core.Database {
+// scanView returns the shard's current database together with the
+// candidate source an ANN-prefiltered query scans it through (nil: the
+// exhaustive spatial enumeration). The database and the LSH index are
+// built over the same meta slice and immutable once built, so the pair is
+// consistent and safe to search after the lock is released. The database
+// is nil while the shard is empty.
+func (s *shard) scanView(annq *annQuery) (*core.Database, core.CandidateSource) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.db
-}
-
-// view returns the shard's current database together with the LSH index
-// built over the same meta slice: a consistent pair, both immutable once
-// built and safe to search after the lock is released.
-func (s *shard) view() (*core.Database, *ann.Index) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db, s.ann
-}
-
-func (s *shard) topK(ctx context.Context, alg core.Algorithm, q traj.Trajectory, k int, filter *geo.Rect, shared *core.SharedKth, st *core.PruneStats, annq *annQuery) ([]Match, error) {
-	db, ix := s.view()
-	if db == nil {
-		return nil, nil
+	if s.db == nil || annq == nil || s.ann == nil {
+		return s.db, nil
 	}
-	var src core.CandidateSource
-	if annq != nil && ix != nil {
-		src = annSource{db: db, ix: ix, q: annq}
-	}
-	local, err := db.TopKPrunedSourceCtx(ctx, alg, q, k, filter, shared, st, src)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, len(local))
-	for i, m := range local {
-		out[i] = Match{TrajID: db.Traj(m.TrajIndex).ID, Result: m.Result}
-	}
-	return out, nil
+	return s.db, annSource{db: s.db, ix: s.ann, q: annq}
 }
 
 // Engine is a sharded, concurrent trajectory-search service. All methods
@@ -547,12 +527,6 @@ func (e *Engine) Traj(id int) (traj.Trajectory, bool) {
 	return s.trajs[local], true
 }
 
-// ResolveNames builds the named measure and algorithm with their
-// registered default parameters.
-func ResolveNames(measure, algorithm string) (core.Algorithm, error) {
-	return ResolveQuery(measure, algorithm, Params{})
-}
-
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // measureFor builds the named measure, applying parameter overrides. Every
@@ -643,12 +617,6 @@ func ResolveQuery(measure, algorithm string, p Params) (core.Algorithm, error) {
 	return alg, nil
 }
 
-// Resolve builds the measure and algorithm a query names, binding the
-// learned searches ("rls", "rls-skip") to the engine's registered policy.
-func (e *Engine) Resolve(q Query) (core.Algorithm, error) {
-	return e.ResolveAlgorithm(q.Measure, q.Algorithm, q.Params)
-}
-
 // validateQuery rejects malformed queries with typed invalid_argument
 // errors before any search work starts. The same checks guard the wire
 // boundary (api.Trajectory.ToTraj) and the in-process path, so NaN/Inf
@@ -698,20 +666,6 @@ func (e *Engine) validateQuery(q Query) *api.Error {
 	return nil
 }
 
-// pageOf selects the ranking window [offset, offset+limit) (limit 0 = to
-// the end). The page aliases full — which cache hits share — so callers
-// must treat it as read-only.
-func pageOf(full []Match, offset, limit int) []Match {
-	if offset >= len(full) {
-		return nil
-	}
-	out := full[offset:]
-	if limit > 0 && limit < len(out) {
-		out = out[:limit]
-	}
-	return out
-}
-
 // collapseDuplicates keeps the best-ranked match per distinct matched
 // subtrajectory content. Duplicates arise when the same data is bulk-
 // loaded more than once under different global IDs; with Query.Distinct
@@ -750,33 +704,14 @@ next:
 // mutated. TopK honors ctx cancellation and deadlines. Validation and
 // resolution failures are typed *api.Error values.
 func (e *Engine) TopK(ctx context.Context, q Query) (matches []Match, cached bool, err error) {
-	_, page, cached, _, err := e.topK(ctx, q)
+	_, page, cached, _, err := e.topK(ctx, q, nil)
 	return page, cached, err
 }
 
-// scatter fans the search out — one bounded task per shard, every worker
-// sharing the running global k-th-best — and k-way merges the per-shard
-// ascending lists into the global top-k. It is the common scan core of topK
-// and of the quality sampler's exact rescans.
-func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query) ([]Match, core.PruneStats, error) {
-	// the shared best-so-far: every shard worker offers its matches here
-	// and reads the running GLOBAL k-th-best back, so one shard's good
-	// matches prune another shard's scan. A wire-propagated bound seeds it
-	// so remote shards prune like local ones from the first candidate.
-	shared := core.NewSharedKth(q.K)
-	if q.Bound != nil {
-		shared.Seed(*q.Bound)
-	}
-	// the ANN prefilter state: the query embedding is computed once here
-	// and shared by every shard worker, like the shared threshold
-	var annq *annQuery
-	if q.ANN != nil {
-		if ent := e.encoder.Load(); ent != nil {
-			annq = e.annQueryFor(ent, q)
-		}
-	}
-	perShard := make([][]Match, len(e.shards))
-	stats := make([]core.PruneStats, len(e.shards))
+// forShards runs fn once per shard, each call in its own goroutine holding
+// one slot of the bounded worker pool, and returns the first shard error in
+// shard order once every call has finished.
+func (e *Engine) forShards(ctx context.Context, fn func(i int, s *shard) error) error {
 	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
 	for i, s := range e.shards {
@@ -794,26 +729,76 @@ func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query) ([]Ma
 				errs[i] = ferr
 				return
 			}
-			perShard[i], errs[i] = s.topK(ctx, alg, q.Q, q.K, q.Filter, shared, &stats[i], annq)
+			errs[i] = fn(i, s)
 		}(i, s)
 	}
 	wg.Wait()
-	var prune core.PruneStats
-	for _, serr := range errs {
-		if serr != nil {
-			return nil, prune, serr
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	for i := range stats {
-		prune.Add(stats[i])
-	}
-	return mergeTopK(perShard, q.K), prune, nil
+	return nil
 }
 
-// topK is TopK also returning the full (unpaged) ranking, which the API
-// adapter reports as the result's Total, and the degradation marker when
-// the overload-resilience plan substituted a cheaper algorithm.
-func (e *Engine) topK(ctx context.Context, q Query) (full, page []Match, cached bool, deg *api.Degraded, err error) {
+// sumPrune folds per-shard pruning counters into one query's total.
+func sumPrune(stats []core.PruneStats) core.PruneStats {
+	var prune core.PruneStats
+	for _, st := range stats {
+		prune.Add(st)
+	}
+	return prune
+}
+
+// scatter is the unary scan stage: one bounded top-k task per shard, every
+// worker sharing the running global k-th-best, and a k-way merge of the
+// per-shard ascending lists into the global top-k. It also serves the
+// quality and recall samplers' reference rescans.
+func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query) ([]Match, core.PruneStats, error) {
+	// the shared best-so-far: every shard worker offers its matches here
+	// and reads the running GLOBAL k-th-best back, so one shard's good
+	// matches prune another shard's scan. A wire-propagated bound seeds it
+	// so remote shards prune like local ones from the first candidate.
+	shared := core.NewSharedKth(q.K)
+	if q.Bound != nil {
+		shared.Seed(*q.Bound)
+	}
+	annq := e.annQueryFor(q)
+	perShard := make([][]Match, len(e.shards))
+	stats := make([]core.PruneStats, len(e.shards))
+	err := e.forShards(ctx, func(i int, s *shard) error {
+		db, src := s.scanView(annq)
+		if db == nil {
+			return nil
+		}
+		local, err := db.TopKPrunedSourceCtx(ctx, alg, q.Q, q.K, q.Filter, shared, &stats[i], src)
+		if err != nil {
+			return err
+		}
+		ms := make([]Match, len(local))
+		for j, m := range local {
+			ms[j] = Match{TrajID: db.Traj(m.TrajIndex).ID, Result: m.Result}
+		}
+		perShard[i] = ms
+		return nil
+	})
+	if err != nil {
+		return nil, core.PruneStats{}, err
+	}
+	return mergeTopK(perShard, q.K), sumPrune(stats), nil
+}
+
+// topK is the engine's one query pipeline, behind TopK, TopKStream,
+// QueryOne and QueryStream: validation, resolution, the cache, the
+// overload-resilience plan, the scan, the cost model and samplers,
+// distinct collapsing and the cache fill. Only the scan stage depends on
+// emit: nil runs scatter, a listener runs the streaming collector, which
+// calls emit (from this goroutine) for every match entering the running
+// top-k; a cache hit emits the cached page instead. An emit error aborts
+// the query and is returned unchanged. Besides the page, topK returns the
+// full (unpaged) ranking, which the API adapter reports as Total, and the
+// degradation marker when the plan substituted a cheaper algorithm.
+func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (full, page []Match, cached bool, deg *api.Degraded, err error) {
 	if aerr := e.validateQuery(q); aerr != nil {
 		return nil, nil, false, nil, aerr
 	}
@@ -837,13 +822,35 @@ func (e *Engine) topK(ctx context.Context, q Query) (full, page []Match, cached 
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
 
+	// lookup serves the ranking from the cache when it holds the current
+	// key, emitting the page to a listener
 	var key cacheKey
-	if e.cache != nil {
-		key = e.cacheKeyFor(q, policyFP, encFP)
-		if ms, ok := e.cache.get(key, q.Q); ok {
-			e.hits.Add(1)
-			return ms, pageOf(ms, q.Offset, q.Limit), true, nil, nil
+	lookup := func() (full []Match, hit bool, err error) {
+		if e.cache == nil {
+			return nil, false, nil
 		}
+		key = e.cacheKeyFor(q, policyFP, encFP)
+		ms, ok := e.cache.get(key, q.Q)
+		if !ok {
+			return nil, false, nil
+		}
+		e.hits.Add(1)
+		if emit != nil {
+			for _, m := range pageOf(ms, q.Offset, q.Limit) {
+				if err := emit(m); err != nil {
+					return nil, true, err
+				}
+			}
+		}
+		return ms, true, nil
+	}
+	if ms, hit, err := lookup(); hit {
+		if err != nil {
+			return nil, nil, false, nil, err
+		}
+		return ms, pageOf(ms, q.Offset, q.Limit), true, nil, nil
+	}
+	if e.cache != nil {
 		e.misses.Add(1)
 	}
 
@@ -859,23 +866,34 @@ func (e *Engine) topK(ctx context.Context, q Query) (full, page []Match, cached 
 		if err != nil {
 			return nil, nil, false, nil, err
 		}
-		if e.cache != nil {
-			key = e.cacheKeyFor(q, policyFP, encFP)
-			if ms, ok := e.cache.get(key, q.Q); ok {
-				e.hits.Add(1)
-				return ms, pageOf(ms, q.Offset, q.Limit), true, deg, nil
+		if ms, hit, err := lookup(); hit {
+			if err != nil {
+				return nil, nil, false, nil, err
 			}
+			return ms, pageOf(ms, q.Offset, q.Limit), true, deg, nil
 		}
 	}
 
 	gen := e.gen.Load()
 	n := e.Len()
 	scanStart := time.Now()
-	merged, prune, err := e.scatter(ctx, alg, q)
+	var merged []Match
+	var prune core.PruneStats
+	var inEmit time.Duration // the listener's own time, kept out of the cost model
+	if emit == nil {
+		merged, prune, err = e.scatter(ctx, alg, q)
+	} else {
+		merged, prune, err = e.collect(ctx, alg, q, func(m Match) error {
+			start := time.Now()
+			err := emit(m)
+			inEmit += time.Since(start)
+			return err
+		})
+	}
 	if err != nil {
 		return nil, nil, false, nil, err
 	}
-	e.cost.observe(q.Measure, q.Algorithm, n, time.Since(scanStart))
+	e.cost.observe(q.Measure, q.Algorithm, n, time.Since(scanStart)-inEmit)
 	e.recordPrune(prune)
 	// sampled serving quality of the learned searches: compare this ranking
 	// against the exact one over the same snapshot — before distinct

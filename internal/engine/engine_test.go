@@ -216,7 +216,7 @@ func TestEngineErrors(t *testing.T) {
 		if _, _, err := e.TopK(context.Background(), Query{Q: randTraj(rng, 5), K: 3, Measure: "frechet", Algorithm: algo}); err == nil {
 			t.Fatalf("%s accepted with a non-DTW measure", algo)
 		}
-		if _, err := ResolveNames("dtw", algo); err != nil {
+		if _, err := ResolveQuery("dtw", algo, Params{}); err != nil {
 			t.Fatalf("%s rejected with dtw: %v", algo, err)
 		}
 	}

@@ -344,6 +344,16 @@ func TestQualitySampling(t *testing.T) {
 		t.Errorf("policy stats = %+v", st)
 	}
 
+	// a streamed learned query is sampled like a unary one
+	before := st.QualitySamples
+	q := Query{Q: randTraj(rng, 5), K: 5, Measure: "dtw", Algorithm: "rls-skip"}
+	if _, _, err := e.TopKStream(context.Background(), q, func(Match) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().QualitySamples; got != before+1 {
+		t.Errorf("QualitySamples = %d after a streamed rls-skip query, want %d", got, before+1)
+	}
+
 	// sampling off: counters must not move
 	e2 := New(Config{Shards: 2, Index: ScanAll})
 	e2.Add(ts)

@@ -4,14 +4,9 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"sync"
 	"sync/atomic"
 
-	"slices"
-
-	"simsub/api"
 	"simsub/internal/core"
-	"simsub/internal/failpoint"
 )
 
 // publishedKth exposes the stream collector's running global k-th-best
@@ -44,53 +39,70 @@ func (p *publishedKth) set(d float64) {
 // Threshold implements core.Thresholder.
 func (p *publishedKth) Threshold() float64 { return math.Float64frombits(p.bits.Load()) }
 
-// streamHeap is a bounded max-heap of the k best matches seen so far,
+// RunningTopK is a bounded max-heap of the k best matches seen so far,
 // ordered by core.RankBefore with the global trajectory ID as identifier —
-// the streaming counterpart of core's per-shard topKHeap. Because shards
-// order equal-distance matches by shard-local index and global IDs are
-// assigned round-robin, the final sorted drain matches mergeTopK's ranking
-// exactly.
-type streamHeap struct {
+// the streaming counterpart of core's per-shard top-k heap. The engine's
+// streaming collector keeps one per query; the distributed router keeps
+// one to decide which per-node provisional matches to forward. Because
+// shards order equal-distance matches by shard-local index and global IDs
+// are assigned round-robin, its sorted drain matches MergeTopK's ranking
+// exactly. It is not safe for concurrent use.
+type RunningTopK struct {
 	k  int
-	ms []Match
+	ms rankHeap
 }
+
+// NewRunningTopK builds an empty running top-k of size k.
+func NewRunningTopK(k int) *RunningTopK { return &RunningTopK{k: k} }
+
+// rankHeap is a max-heap by rank: the worst retained match on top.
+type rankHeap []Match
 
 func rankBefore(a, b Match) bool {
 	return core.RankBefore(a.Result.Dist, a.TrajID, a.Result.Interval,
 		b.Result.Dist, b.TrajID, b.Result.Interval)
 }
 
-func (h *streamHeap) Len() int           { return len(h.ms) }
-func (h *streamHeap) Less(i, j int) bool { return rankBefore(h.ms[j], h.ms[i]) }
-func (h *streamHeap) Swap(i, j int)      { h.ms[i], h.ms[j] = h.ms[j], h.ms[i] }
-func (h *streamHeap) Push(x any)         { h.ms = append(h.ms, x.(Match)) }
-func (h *streamHeap) Pop() any {
-	m := h.ms[len(h.ms)-1]
-	h.ms = h.ms[:len(h.ms)-1]
+func (h rankHeap) Len() int           { return len(h) }
+func (h rankHeap) Less(i, j int) bool { return rankBefore(h[j], h[i]) }
+func (h rankHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *rankHeap) Push(x any)        { *h = append(*h, x.(Match)) }
+func (h *rankHeap) Pop() any {
+	old := *h
+	m := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return m
 }
 
-// offer reports whether m entered the running top-k.
-func (h *streamHeap) offer(m Match) bool {
+// Offer reports whether m entered the running top-k.
+func (t *RunningTopK) Offer(m Match) bool {
 	switch {
-	case h.k <= 0:
+	case t.k <= 0:
 		return false
-	case len(h.ms) < h.k:
-		heap.Push(h, m)
+	case len(t.ms) < t.k:
+		heap.Push(&t.ms, m)
 		return true
-	case rankBefore(m, h.ms[0]):
-		h.ms[0] = m
-		heap.Fix(h, 0)
+	case rankBefore(m, t.ms[0]):
+		t.ms[0] = m
+		heap.Fix(&t.ms, 0)
 		return true
 	}
 	return false
 }
 
-// sorted drains the heap into an ascending ranking.
-func (h *streamHeap) sorted() []Match {
-	out := make([]Match, len(h.ms))
+// Kth reports the running k-th-best distance once k matches are held.
+func (t *RunningTopK) Kth() (float64, bool) {
+	if len(t.ms) < t.k || t.k <= 0 {
+		return 0, false
+	}
+	return t.ms[0].Result.Dist, true
+}
+
+// Sorted drains the heap into an ascending ranking.
+func (t *RunningTopK) Sorted() []Match {
+	out := make([]Match, len(t.ms))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Match)
+		out[i] = heap.Pop(&t.ms).(Match)
 	}
 	return out
 }
@@ -105,176 +117,66 @@ func (h *streamHeap) sorted() []Match {
 // search and is returned unchanged. On a cache hit the final page is
 // emitted match by match before the call returns.
 func (e *Engine) TopKStream(ctx context.Context, q Query, emit func(Match) error) (matches []Match, cached bool, err error) {
-	_, page, cached, _, err := e.topKStream(ctx, q, emit)
+	_, page, cached, _, err := e.topK(ctx, q, emit)
 	return page, cached, err
 }
 
-// topKStream is TopKStream also returning the full (unpaged) ranking and
-// the degradation marker when the overload-resilience plan substituted a
-// cheaper algorithm.
-func (e *Engine) topKStream(ctx context.Context, q Query, emit func(Match) error) (full, page []Match, cached bool, deg *api.Degraded, err error) {
-	if aerr := e.validateQuery(q); aerr != nil {
-		return nil, nil, false, nil, aerr
-	}
-	alg, policyFP, err := e.resolveAlg(q.Measure, q.Algorithm, q.Params)
-	if err != nil {
-		return nil, nil, false, nil, err
-	}
-	ent, aerr := e.annCheck(q)
-	if aerr != nil {
-		return nil, nil, false, nil, aerr
-	}
-	var encFP uint64
-	if ent != nil {
-		encFP = ent.fp
-		e.annQueries.Add(1)
-	}
-	e.queries.Add(1)
-	if _, ok := alg.(core.RLS); ok {
-		e.rlsQueries.Add(1)
-	}
-	e.inflight.Add(1)
-	defer e.inflight.Add(-1)
-
-	var key cacheKey
-	cacheGet := func() (f, p []Match, hit bool, herr error) {
-		ms, ok := e.cache.get(key, q.Q)
-		if !ok {
-			return nil, nil, false, nil
-		}
-		e.hits.Add(1)
-		page := pageOf(ms, q.Offset, q.Limit)
-		for _, m := range page {
-			if err := emit(m); err != nil {
-				return nil, nil, true, err
-			}
-		}
-		return ms, page, true, nil
-	}
-	if e.cache != nil {
-		key = e.cacheKeyFor(q, policyFP, encFP)
-		if f, p, hit, herr := cacheGet(); hit {
-			return f, p, herr == nil, nil, herr
-		}
-		e.misses.Add(1)
-	}
-
-	rel, deg, aerr := e.planAdmit(ctx, &q)
-	if aerr != nil {
-		return nil, nil, false, nil, aerr
-	}
-	defer rel()
-	if deg != nil {
-		// the plan substituted a cheaper algorithm: rebind it and retry the
-		// cache under the rewritten query's key
-		alg, policyFP, err = e.resolveAlg(q.Measure, q.Algorithm, q.Params)
-		if err != nil {
-			return nil, nil, false, nil, err
-		}
-		if e.cache != nil {
-			key = e.cacheKeyFor(q, policyFP, encFP)
-			if f, p, hit, herr := cacheGet(); hit {
-				if herr != nil {
-					return nil, nil, false, nil, herr
-				}
-				return f, p, true, deg, nil
-			}
-		}
-	}
-
-	// Shard scanners funnel every candidate's match into one channel; the
-	// collector (this goroutine) maintains the running global top-k and
-	// emits each match the moment it enters — no per-shard completion
-	// barrier between a candidate being searched and its match streaming
-	// out.
+// collect is the streaming scan stage. Shard scanners funnel every
+// candidate's match into one channel; the collector (the calling
+// goroutine) maintains the running global top-k, publishes its k-th best
+// back to the scanners, and emits each match the moment it enters — no
+// per-shard completion barrier between a candidate being searched and its
+// match streaming out. Its final ranking is scatter's, byte for byte.
+func (e *Engine) collect(ctx context.Context, alg core.Algorithm, q Query, emit func(Match) error) ([]Match, core.PruneStats, error) {
 	scanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch := make(chan Match, 64)
 	bound := math.Inf(1)
 	if q.Bound != nil {
 		bound = *q.Bound
 	}
 	kth := newPublishedKth(bound)
-	// the ANN prefilter state, shared by every shard scanner (see scatter)
-	var annq *annQuery
-	if q.ANN != nil && ent != nil {
-		annq = e.annQueryFor(ent, q)
-	}
+	annq := e.annQueryFor(q)
 	stats := make([]core.PruneStats, len(e.shards))
-	errs := make([]error, len(e.shards))
-	var wg sync.WaitGroup
-	for i, s := range e.shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			select {
-			case e.sem <- struct{}{}:
-				defer func() { <-e.sem }()
-			case <-scanCtx.Done():
-				errs[i] = scanCtx.Err()
-				return
-			}
-			if ferr := failpoint.InjectCtx(scanCtx, "engine/scan"); ferr != nil {
-				errs[i] = ferr
-				return
-			}
-			db, ix := s.view()
+	// the buffer lets scanners run a little ahead of a slow listener
+	// without blocking on every match
+	ch := make(chan Match, 64)
+	var scanErr error
+	go func() {
+		scanErr = e.forShards(scanCtx, func(i int, s *shard) error {
+			db, src := s.scanView(annq)
 			if db == nil {
-				return
+				return nil
 			}
-			var src core.CandidateSource
-			if annq != nil && ix != nil {
-				src = annSource{db: db, ix: ix, q: annq}
-			}
-			errs[i] = db.ScanPrunedSourceCtx(scanCtx, alg, q.Q, q.Filter, kth, &stats[i], src, func(m core.Match) error {
-				gm := Match{TrajID: db.Traj(m.TrajIndex).ID, Result: m.Result}
+			return db.ScanPrunedSourceCtx(scanCtx, alg, q.Q, q.Filter, kth, &stats[i], src, func(m core.Match) error {
 				select {
-				case ch <- gm:
+				case ch <- Match{TrajID: db.Traj(m.TrajIndex).ID, Result: m.Result}:
 					return nil
 				case <-scanCtx.Done():
 					return scanCtx.Err()
 				}
 			})
-		}(i, s)
-	}
-	go func() { wg.Wait(); close(ch) }()
+		})
+		close(ch)
+	}()
 
-	h := streamHeap{k: q.K}
+	top := NewRunningTopK(q.K)
 	var emitErr error
 	for m := range ch {
-		if emitErr != nil {
-			continue // drain so the cancelled shard senders can exit
+		if emitErr != nil || !top.Offer(m) {
+			continue // after an emit error: drain so the cancelled scanners can exit
 		}
-		if h.offer(m) {
-			if len(h.ms) == h.k {
-				kth.set(h.ms[0].Result.Dist)
-			}
-			if err := emit(m); err != nil {
-				emitErr = err
-				cancel()
-			}
+		if d, ok := top.Kth(); ok {
+			kth.set(d)
+		}
+		if emitErr = emit(m); emitErr != nil {
+			cancel()
 		}
 	}
 	if emitErr != nil {
-		return nil, nil, false, nil, emitErr
+		return nil, core.PruneStats{}, emitErr
 	}
-	for _, serr := range errs {
-		if serr != nil {
-			return nil, nil, false, nil, serr
-		}
+	if scanErr != nil {
+		return nil, core.PruneStats{}, scanErr
 	}
-	var prune core.PruneStats
-	for i := range stats {
-		prune.Add(stats[i])
-	}
-	e.recordPrune(prune)
-	merged := h.sorted()
-	if q.Distinct {
-		merged = e.collapseDuplicates(merged)
-	}
-	// same stable-store condition as topK — see the seqlock in Add
-	if e.cache != nil && key.gen%2 == 0 && e.gen.Load() == key.gen {
-		e.cache.put(key, q.Q, slices.Clone(merged))
-	}
-	return merged, pageOf(merged, q.Offset, q.Limit), false, deg, nil
+	return top.Sorted(), sumPrune(stats), nil
 }

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"time"
 
@@ -175,6 +174,47 @@ func (r *Router) queryGroup(ctx context.Context, g *group, spec api.QuerySpec) (
 	return a.ms, a.cached, a.deg, err
 }
 
+// streamGroup streams one spec from one replica group (failover, no
+// hedging — a duplicated stream would duplicate provisional matches),
+// forwarding each provisional match in router-global ID space, and returns
+// the group's authoritative top-k list translated to global IDs. Deadline
+// budgets propagate through the client, which forwards the attempt
+// context's deadline (shaved) as the node-side timeout_ms.
+func (r *Router) streamGroup(ctx context.Context, g *group, spec api.QuerySpec, forward func(engine.Match) error) ([]engine.Match, bool, *api.Degraded, error) {
+	type answer struct {
+		ms     []engine.Match
+		cached bool
+		deg    *api.Degraded
+	}
+	a, err := groupDo(ctx, r, g, false, func(ctx context.Context, n *node) (answer, error) {
+		start := time.Now()
+		if ferr := n.transportFault(ctx, start); ferr != nil {
+			return answer{}, ferr
+		}
+		sum, err := n.c.QueryStream(ctx, spec, func(wm api.Match) error {
+			gm, terr := r.toGlobal(g, engine.MatchFromAPI(wm))
+			if terr != nil {
+				return terr
+			}
+			return forward(gm)
+		})
+		n.observe(start, err)
+		if err != nil {
+			return answer{}, &nodeError{node: n.base, err: err}
+		}
+		ms := make([]engine.Match, len(sum.Matches))
+		for i, wm := range sum.Matches {
+			gm, terr := r.toGlobal(g, engine.MatchFromAPI(wm))
+			if terr != nil {
+				return answer{}, &nodeError{node: n.base, err: terr}
+			}
+			ms[i] = gm
+		}
+		return answer{ms: ms, cached: sum.Cached, deg: sum.Degraded}, nil
+	})
+	return a.ms, a.cached, a.deg, err
+}
+
 // gather is the outcome of one scatter: the per-group top-k lists (global
 // IDs, ascending), whether every list came from a node cache, which groups
 // lost all replicas, and whether any node answered with a degraded
@@ -187,27 +227,21 @@ type gather struct {
 	degraded *api.Degraded
 }
 
-// noteDegraded folds one group's degradation marker into the gather (the
-// first marker wins — it names the algorithm substitution, which every
-// degrading node performs identically).
-func (g *gather) noteDegraded(deg *api.Degraded) {
-	if g.degraded == nil {
-		g.degraded = deg
-	}
-}
-
-// scatterGather fans one spec out over every non-empty group and collects
-// the per-group rankings. With ≥ 2 active groups (and propagation on), it
-// runs two waves: the largest group first — the pilot — then the rest
-// carrying the pilot's k-th-best distance as their bound, so remote
-// engines seed their shared thresholds with a near-final global k-th-best
-// instead of discovering it from scratch. Since engine pruning is strict
-// against the bound and the pilot's k-th best upper-bounds the final
-// global k-th best, the merged ranking is byte-identical to an unbounded
-// scatter. A non-degradable node rejection (bad measure name, ...) returns
-// immediately as the spec's error; degradable failures become Partial
-// degradation, handled by the caller.
-func (r *Router) scatterGather(ctx context.Context, spec api.QuerySpec) (gather, *api.Error) {
+// scatterGather is the router's one scatter: it fans one spec out over
+// every non-empty group and collects the per-group rankings. With ≥ 2
+// active groups (and propagation on), it runs two waves: the largest group
+// first — the pilot — then the rest carrying the pilot's k-th-best
+// distance as their bound, so remote engines seed their shared thresholds
+// with a near-final global k-th-best instead of discovering it from
+// scratch. Since engine pruning is strict against the bound and the
+// pilot's k-th best upper-bounds the final global k-th best, the merged
+// ranking is byte-identical to an unbounded scatter. A non-degradable node
+// rejection (bad measure name, ...) returns immediately as the spec's
+// error; degradable failures become Partial degradation, handled by the
+// caller. With a forward, every group call streams and forward receives
+// each provisional match (see wave); without one, each group call is the
+// hedged unary queryGroup.
+func (r *Router) scatterGather(ctx context.Context, spec api.QuerySpec, forward func(engine.Match) error) (gather, error) {
 	counts := r.groupCounts()
 	var active []int
 	for gi, c := range counts {
@@ -221,62 +255,104 @@ func (r *Router) scatterGather(ctx context.Context, spec api.QuerySpec) (gather,
 	rest := active
 	if !r.cfg.NoBoundPropagation && len(active) >= 2 {
 		pi := pilotOf(active, counts)
-		gi := active[pi]
 		rest = make([]int, 0, len(active)-1)
 		rest = append(rest, active[:pi]...)
 		rest = append(rest, active[pi+1:]...)
-		g := r.groups[gi]
-		ms, cached, deg, err := r.queryGroup(ctx, g, nodeSpec(spec, bound, counts[gi]))
-		switch {
-		case err == nil:
-			out.lists = append(out.lists, ms)
-			out.cached = out.cached && cached
-			out.noteDegraded(deg)
-			if len(ms) >= spec.K {
-				bound = tighten(bound, ms[spec.K-1].Result.Dist)
-			}
-		case !degradable(err):
-			return gather{}, api.FromError(err)
-		default:
-			out.failures = append(out.failures, failureOf(g, err))
-			out.cached = false
+		if err := r.wave(ctx, &out, spec, active[pi:pi+1], counts, bound, forward); err != nil {
+			return gather{}, err
+		}
+		// the pilot answered iff its list landed; its k-th best bounds the rest
+		if len(out.lists) == 1 && len(out.lists[0]) >= spec.K {
+			bound = tighten(bound, out.lists[0][spec.K-1].Result.Dist)
 		}
 	}
 	if bound != nil && len(rest) > 0 {
 		r.bounds.Add(1)
 	}
+	if err := r.wave(ctx, &out, spec, rest, counts, bound, forward); err != nil {
+		return gather{}, err
+	}
+	return out, nil
+}
 
+// wave runs one scatter wave — each listed group's call concurrently, under
+// the wave's bound — and folds the outcomes into out in group order. With
+// a forward, the calls stream and their provisional matches funnel through
+// one channel drained here, so forward runs on the caller's goroutine; a
+// forward error cancels the wave and is returned unchanged.
+func (r *Router) wave(ctx context.Context, out *gather, spec api.QuerySpec, groups, counts []int, bound *float64, forward func(engine.Match) error) error {
 	type groupOut struct {
 		ms     []engine.Match
 		cached bool
 		deg    *api.Degraded
 		err    error
 	}
-	outs := make([]groupOut, len(rest))
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var ch chan engine.Match
+	if forward != nil {
+		// the buffer lets group streams run a little ahead of a slow
+		// listener without blocking on every match
+		ch = make(chan engine.Match, 64)
+	}
+	send := func(gm engine.Match) error {
+		select {
+		case ch <- gm:
+			return nil
+		case <-wctx.Done():
+			return wctx.Err()
+		}
+	}
+	outs := make([]groupOut, len(groups))
 	var wg sync.WaitGroup
-	for i, gi := range rest {
+	for i, gi := range groups {
 		wg.Add(1)
 		go func(i, gi int) {
 			defer wg.Done()
-			ms, cached, deg, err := r.queryGroup(ctx, r.groups[gi], nodeSpec(spec, bound, counts[gi]))
-			outs[i] = groupOut{ms: ms, cached: cached, deg: deg, err: err}
+			g, ns := r.groups[gi], nodeSpec(spec, bound, counts[gi])
+			o := &outs[i]
+			if ch == nil {
+				o.ms, o.cached, o.deg, o.err = r.queryGroup(wctx, g, ns)
+			} else {
+				o.ms, o.cached, o.deg, o.err = r.streamGroup(wctx, g, ns, send)
+			}
 		}(i, gi)
 	}
-	wg.Wait()
+	if ch == nil {
+		wg.Wait()
+	} else {
+		go func() { wg.Wait(); close(ch) }()
+		var ferr error
+		for gm := range ch {
+			if ferr != nil {
+				continue // drain so the cancelled group streams can exit
+			}
+			if ferr = forward(gm); ferr != nil {
+				cancel()
+			}
+		}
+		if ferr != nil {
+			return ferr
+		}
+	}
 	for i, o := range outs {
 		switch {
 		case o.err == nil:
 			out.lists = append(out.lists, o.ms)
 			out.cached = out.cached && o.cached
-			out.noteDegraded(o.deg)
+			if out.degraded == nil {
+				// the first marker wins: it names the algorithm
+				// substitution, which every degrading node performs alike
+				out.degraded = o.deg
+			}
 		case !degradable(o.err):
-			return gather{}, api.FromError(o.err)
+			return api.FromError(o.err)
 		default:
-			out.failures = append(out.failures, failureOf(r.groups[rest[i]], o.err))
+			out.failures = append(out.failures, failureOf(r.groups[groups[i]], o.err))
 			out.cached = false
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // finishGather turns a scatter's outcome into the spec's degradation
@@ -301,65 +377,73 @@ func (r *Router) finishGather(g gather) (*api.Partial, *api.Error) {
 	return &api.Partial{NodesTotal: g.active, NodesFailed: len(g.failures), Failures: g.failures}, nil
 }
 
-// QueryOne answers a single spec by scatter-gather: per-group top-k lists
-// merged with the engine's k-way merge, then global distinct collapsing
-// and paging. The ranking is byte-identical to a single engine holding the
-// same corpus in the same load order. Failures land in the result's Error
-// field; unreachable shard groups degrade to a Partial summary instead.
-func (r *Router) QueryOne(ctx context.Context, spec api.QuerySpec) api.QueryResult {
-	start := time.Now()
+// pipeline is the router's engine.Pipeline: validation, the deadline
+// budget, the scatter (streamed when emit is set, its provisional matches
+// gated through the running global top-k), then the k-way merge and global
+// distinct collapsing. The ranking is byte-identical to a single engine
+// holding the same corpus in the same load order; unreachable shard groups
+// degrade to a Partial answer.
+func (r *Router) pipeline(ctx context.Context, spec api.QuerySpec, emit func(engine.Match) error) (engine.Answer, error) {
 	spec = spec.WithDefaults()
 	if aerr := r.validateSpec(spec); aerr != nil {
-		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
+		return engine.Answer{}, aerr
 	}
 	if aerr := r.checkBudget(ctx); aerr != nil {
-		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
+		return engine.Answer{}, aerr
 	}
 	r.queries.Add(1)
-	g, aerr := r.scatterGather(ctx, spec)
-	if aerr != nil {
-		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
+	var forward func(engine.Match) error
+	if emit != nil {
+		// the gate only decides which provisional matches are worth
+		// forwarding: the final ranking is merged from the per-group
+		// lists, so gate state never affects correctness
+		gate := engine.NewRunningTopK(spec.K)
+		forward = func(gm engine.Match) error {
+			if !gate.Offer(gm) {
+				return nil
+			}
+			return emit(gm)
+		}
+	}
+	g, err := r.scatterGather(ctx, spec, forward)
+	if err != nil {
+		return engine.Answer{}, err
 	}
 	partial, aerr := r.finishGather(g)
 	if aerr != nil {
-		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
+		return engine.Answer{}, aerr
 	}
 	full := engine.MergeTopK(g.lists, spec.K)
 	if spec.Distinct {
 		full = r.collapseDistinct(ctx, full)
 	}
-	page := pageOf(full, spec.Offset, spec.Limit)
-	return api.QueryResult{
-		Matches:  engine.MatchesToAPI(page),
-		Total:    len(full),
-		Cached:   g.cached,
-		Partial:  partial,
-		Degraded: g.degraded,
-		TookMS:   tookMS(start),
-	}
+	return engine.Answer{Full: full, Cached: g.cached, Partial: partial, Degraded: g.degraded}, nil
+}
+
+// QueryOne answers a single spec by scatter-gather. Failures land in the
+// result's Error field; unreachable shard groups degrade to a Partial
+// summary instead.
+func (r *Router) QueryOne(ctx context.Context, spec api.QuerySpec) api.QueryResult {
+	return engine.Pipeline(r.pipeline).One(ctx, spec)
 }
 
 // Query implements api.Searcher: the batch's specs scatter concurrently;
 // Results[i] answers Specs[i], a failed spec carries its typed error
 // without failing the batch, and TimeoutMS bounds the whole batch.
 func (r *Router) Query(ctx context.Context, req api.Query) (*api.QueryResponse, error) {
-	if len(req.Specs) == 0 {
-		return nil, api.Errorf(api.CodeInvalidArgument, "query batch has no specs")
-	}
-	ctx, cancel := msContext(ctx, req.TimeoutMS)
-	defer cancel()
-	start := time.Now()
-	results := make([]api.QueryResult, len(req.Specs))
-	var wg sync.WaitGroup
-	for i, spec := range req.Specs {
-		wg.Add(1)
-		go func(i int, spec api.QuerySpec) {
-			defer wg.Done()
-			results[i] = r.QueryOne(ctx, spec)
-		}(i, spec)
-	}
-	wg.Wait()
-	return &api.QueryResponse{Results: results, TookMS: tookMS(start)}, nil
+	return engine.Pipeline(r.pipeline).Batch(ctx, req)
+}
+
+// QueryStream implements api.StreamSearcher across the fleet: per-node
+// provisional matches stream through the router's global top-k gate to the
+// caller (single-goroutine, entry order), and the summary carries the
+// authoritative merged ranking — identical to QueryOne's answer for the
+// same spec. The two-wave bound propagation of the unary path applies: the
+// pilot group streams first and its k-th best bounds the rest. An emit
+// error aborts the scatter and is returned unchanged; unreachable groups
+// degrade to a Partial summary.
+func (r *Router) QueryStream(ctx context.Context, spec api.QuerySpec, emit func(api.Match) error) (*api.StreamSummary, error) {
+	return engine.Pipeline(r.pipeline).Stream(ctx, spec, emit)
 }
 
 // collapseDistinct keeps the best-ranked match per distinct matched
@@ -421,34 +505,4 @@ next:
 		out = append(out, m)
 	}
 	return out
-}
-
-// pageOf selects the ranking window [offset, offset+limit) (limit 0 = to
-// the end), exactly like the engine's paging.
-func pageOf(full []engine.Match, offset, limit int) []engine.Match {
-	if offset >= len(full) {
-		return nil
-	}
-	out := full[offset:]
-	if limit > 0 && limit < len(out) {
-		out = out[:limit]
-	}
-	return out
-}
-
-func tookMS(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1000
-}
-
-// msContext tightens ctx by ms milliseconds when positive, clamped so an
-// absurd value cannot overflow into an already-expired deadline.
-func msContext(ctx context.Context, ms int) (context.Context, context.CancelFunc) {
-	if ms <= 0 {
-		return context.WithCancel(ctx)
-	}
-	maxMS := int(math.MaxInt64 / int64(time.Millisecond))
-	if ms > maxMS {
-		ms = maxMS
-	}
-	return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 }

@@ -305,10 +305,6 @@ func (r *Router) toGlobal(g *group, m engine.Match) (engine.Match, error) {
 // estimates, so failing over would burn the rest of the budget on an
 // attempt that is equally doomed.
 func degradable(err error) bool {
-	var abort *abortError
-	if errors.As(err, &abort) {
-		return false
-	}
 	var ae *api.Error
 	if errors.As(err, &ae) {
 		switch ae.Code {
@@ -318,13 +314,6 @@ func degradable(err error) bool {
 	}
 	return true
 }
-
-// abortError wraps an error that must abort the whole call unchanged (a
-// stream consumer's emit error), exempting it from failover and
-// degradation.
-type abortError struct{ err error }
-
-func (e *abortError) Error() string { return e.err.Error() }
 
 // hedgeDelay is how long the primary replica gets before a hedge launches:
 // the node's recent RTT quantile, floored at HedgeMin (which is the whole
@@ -349,8 +338,8 @@ func (r *Router) attemptCtx(ctx context.Context) (context.Context, context.Cance
 // (rotating per call) immediately, the next replica as a hedged duplicate
 // once the primary's latency-quantile delay expires (when hedging is on),
 // and further replicas on failure. The first success wins and cancels the
-// rest. Non-degradable errors — deterministic rejections and emit aborts —
-// return immediately: no replica would answer differently. Replicas whose
+// rest. Non-degradable errors (deterministic rejections) return
+// immediately: no replica would answer differently. Replicas whose
 // circuit breaker rejects them are skipped — unless every replica is
 // ejected, in which case the primary is probed anyway (a request is the
 // only signal that can close a breaker again).

@@ -204,51 +204,84 @@ func TestRouterSpecDimensions(t *testing.T) {
 	}
 }
 
-// TestRouterStreamMatchesUnary checks the streamed scatter: the summary
-// must carry the same authoritative ranking as the unary path (and the
-// single engine), with provisional records preceding it.
+// TestRouterStreamMatchesUnary checks the streamed scatter on every spec
+// dimension: the summary must carry the same authoritative ranking, total
+// and cache flag as the unary path (and the ranking of the single engine),
+// with provisional records preceding it.
 func TestRouterStreamMatchesUnary(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	ts := randSet(rng, 150)
+	base := randSet(rng, 60)
+	ts := append(append([]traj.Trajectory{}, base...), base...) // every trajectory loaded twice
 	single := engine.New(engine.Config{Shards: 4, Index: engine.ScanAll})
 	single.Add(ts)
-	nodes := startFleet(t, 3)
-	r := newTestRouter(t, nodes, nil)
-	mustLoad(t, r, ts)
+	// the streamed and the unary path each get a fleet of their own, so
+	// both see the same node-cache state on every pass (the second pass of
+	// a spec is always served warm)
+	rs := newTestRouter(t, startFleet(t, 3), nil)
+	ru := newTestRouter(t, startFleet(t, 3), nil)
+	mustLoad(t, rs, ts)
+	mustLoad(t, ru, ts)
 
-	spec := api.QuerySpec{Query: api.FromTraj(randTraj(rng, 7)), K: 12}
-	want := single.QueryOne(context.Background(), spec)
-	var provisional []api.Match
-	sum, err := r.QueryStream(context.Background(), spec, func(m api.Match) error {
-		provisional = append(provisional, m)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	q := api.FromTraj(randTraj(rng, 7))
+	// a caller-supplied bound: the unbounded ranking's k-th-best distance,
+	// the tightest bound that cannot change the ranking
+	bound := single.QueryOne(ctx, api.QuerySpec{Query: q, K: 12}).Matches[11].Dist
+	f := &api.Rect{MinX: -100, MinY: -100, MaxX: 100, MaxY: 100}
+	specs := []struct {
+		name string
+		spec api.QuerySpec
+	}{
+		{"page", api.QuerySpec{Query: q, K: 20, Offset: 3, Limit: 5}},
+		{"distinct", api.QuerySpec{Query: q, K: 20, Distinct: true}},
+		{"filter-pss", api.QuerySpec{Query: q, K: 10, Filter: f, Algorithm: "pss"}},
+		{"k-above-share", api.QuerySpec{Query: q, K: 120}},
+		{"frechet", api.QuerySpec{Query: q, K: 12, Measure: "frechet"}},
+		{"bound", api.QuerySpec{Query: q, K: 12, Bound: &bound}},
 	}
-	if !reflect.DeepEqual(sum.Matches, want.Matches) || sum.Total != want.Total {
-		t.Fatalf("stream summary diverged from single engine\ngot  %+v\nwant %+v", sum.Matches, want.Matches)
-	}
-	if sum.Partial != nil {
-		t.Fatalf("unexpected partial: %+v", sum.Partial)
-	}
-	if len(provisional) == 0 || sum.Emitted != len(provisional) {
-		t.Fatalf("emitted %d provisional records, summary says %d", len(provisional), sum.Emitted)
-	}
-	// every final match must have been provisionally emitted at some point
-	seen := map[api.Match]bool{}
-	for _, m := range provisional {
-		seen[m] = true
-	}
-	for _, m := range sum.Matches {
-		if !seen[m] {
-			t.Errorf("final match %+v never streamed provisionally", m)
-		}
+	for _, tc := range specs {
+		t.Run(tc.name, func(t *testing.T) {
+			want := single.QueryOne(ctx, tc.spec)
+			for _, pass := range []string{"cold", "warm"} {
+				one := ru.QueryOne(ctx, tc.spec)
+				var provisional []api.Match
+				sum, err := rs.QueryStream(ctx, tc.spec, func(m api.Match) error {
+					provisional = append(provisional, m)
+					return nil
+				})
+				if err != nil || one.Error != nil || want.Error != nil {
+					t.Fatalf("%s: errors %v / %v / %v", pass, err, one.Error, want.Error)
+				}
+				if !reflect.DeepEqual(sum.Matches, want.Matches) || sum.Total != want.Total {
+					t.Fatalf("%s: stream summary diverged from single engine\ngot  %+v\nwant %+v", pass, sum.Matches, want.Matches)
+				}
+				if !reflect.DeepEqual(sum.Matches, one.Matches) || sum.Total != one.Total || sum.Cached != one.Cached {
+					t.Fatalf("%s: stream summary diverged from QueryOne\ngot  %+v (total %d cached %v)\nwant %+v (total %d cached %v)",
+						pass, sum.Matches, sum.Total, sum.Cached, one.Matches, one.Total, one.Cached)
+				}
+				if sum.Partial != nil {
+					t.Fatalf("%s: unexpected partial: %+v", pass, sum.Partial)
+				}
+				if len(provisional) == 0 || sum.Emitted != len(provisional) {
+					t.Fatalf("%s: emitted %d provisional records, summary says %d", pass, len(provisional), sum.Emitted)
+				}
+				// every final match must have been provisionally emitted at some point
+				seen := map[api.Match]bool{}
+				for _, m := range provisional {
+					seen[m] = true
+				}
+				for _, m := range sum.Matches {
+					if !seen[m] {
+						t.Errorf("%s: final match %+v never streamed provisionally", pass, m)
+					}
+				}
+			}
+		})
 	}
 
 	// an emit error aborts the stream and returns unchanged
 	boom := errors.New("boom")
-	if _, err := r.QueryStream(context.Background(), spec, func(api.Match) error { return boom }); !errors.Is(err, boom) {
+	if _, err := rs.QueryStream(ctx, specs[0].spec, func(api.Match) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("emit error came back as %v, want boom", err)
 	}
 }

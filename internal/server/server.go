@@ -120,14 +120,14 @@ func New(eng *engine.Engine, opts Options) *Server {
 		start:     time.Now(),
 	}
 	s.ready.Store(true)
-	s.mux.HandleFunc("POST /v1/trajectories", s.handleLoad)
-	s.mux.HandleFunc("POST /v1/topk", s.handleTopK)
+	s.mux.HandleFunc("POST /v1/trajectories", s.gated(s.handleLoad))
+	s.mux.HandleFunc("POST /v1/topk", s.gated(s.handleTopK))
 	s.mux.HandleFunc("POST /v1/search", s.handleSearch)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v2/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v2/query/stream", s.handleQueryStream)
-	s.mux.HandleFunc("POST /v2/load/stream", s.handleLoadStream)
-	s.mux.HandleFunc("GET /v2/trajectories/{id}", s.handleGetTrajectory)
+	s.mux.HandleFunc("POST /v2/query", s.gated(QueryHandler(eng, opts.MaxTimeout, opts.MaxBatchSpecs)))
+	s.mux.HandleFunc("POST /v2/query/stream", s.gated(QueryStreamHandler(eng, opts.MaxTimeout)))
+	s.mux.HandleFunc("POST /v2/load/stream", s.gated(s.handleLoadStream))
+	s.mux.HandleFunc("GET /v2/trajectories/{id}", s.gated(s.handleGetTrajectory))
 	s.mux.HandleFunc("GET /v2/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v2/admin/policy", s.handlePolicySwap)
 	s.mux.HandleFunc("GET /v2/admin/policy", s.handlePolicyGet)
@@ -156,13 +156,16 @@ func (s *Server) state() string {
 	return api.StateRecovering
 }
 
-// gate rejects data-path requests while the node is recovering.
-func (s *Server) gate(w http.ResponseWriter) bool {
-	if s.ready.Load() {
-		return true
+// gated rejects data-path requests while the node is recovering, and
+// serves them with h otherwise.
+func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.ready.Load() {
+			WriteErr(w, api.Errorf(api.CodeOverloaded, "node is recovering its persistent log; retry shortly"))
+			return
+		}
+		h(w, r)
 	}
-	writeErr(w, api.Errorf(api.CodeOverloaded, "node is recovering its persistent log; retry shortly"))
-	return false
 }
 
 // ServeHTTP implements http.Handler.
@@ -173,7 +176,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				// sever the connection without a response, as a dying node would
 				panic(http.ErrAbortHandler)
 			}
-			writeErr(w, api.Errorf(api.CodeInternal, "%v", err))
+			WriteErr(w, api.Errorf(api.CodeInternal, "%v", err))
 			return
 		}
 	}
@@ -215,7 +218,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) admitLoad(w http.ResponseWriter) bool {
 	reject := func(ae *api.Error) bool {
 		ae.RetryAfterMS = int(s.eng.RetryAfterHint().Milliseconds())
-		writeErr(w, ae)
+		WriteErr(w, ae)
 		return false
 	}
 	if s.eng.Shedding() {
@@ -247,17 +250,19 @@ func (s *Server) endLoad() {
 // Trajectory is the wire form of a trajectory (see api.Trajectory).
 type Trajectory = api.Trajectory
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON renders v as the JSON response body with the given status.
+// The node and router front ends share it, like the helpers below.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeErr renders the typed error envelope with its mapped HTTP status.
+// WriteErr renders the typed error envelope with its mapped HTTP status.
 // Every overloaded (503) response carries a Retry-After header: the
 // error's drain-rate-derived hint when it has one, a conservative 1s
 // otherwise.
-func writeErr(w http.ResponseWriter, ae *api.Error) {
+func WriteErr(w http.ResponseWriter, ae *api.Error) {
 	if ae.Code == api.CodeOverloaded {
 		if ae.RetryAfterMS <= 0 {
 			cp := *ae
@@ -266,30 +271,33 @@ func writeErr(w http.ResponseWriter, ae *api.Error) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa((ae.RetryAfterMS+999)/1000))
 	}
-	writeJSON(w, ae.HTTPStatus(), api.ErrorResponse{Err: *ae})
+	WriteJSON(w, ae.HTTPStatus(), api.ErrorResponse{Err: *ae})
 }
 
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// Decode parses the JSON request body into v, rejecting unknown fields,
+// and answers the typed error itself (too_large past the body cap,
+// invalid_argument otherwise) when it reports false.
+func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			writeErr(w, api.Errorf(api.CodeTooLarge, "request body exceeds %d bytes", maxErr.Limit))
+			WriteErr(w, api.Errorf(api.CodeTooLarge, "request body exceeds %d bytes", maxErr.Limit))
 			return false
 		}
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err))
 		return false
 	}
 	return true
 }
 
-// requestContext derives the search context: the client connection's
-// context bounded by min(timeout_ms, MaxTimeout). The comparison happens
-// in millisecond space so an absurd client value cannot overflow the
-// duration multiply — it just gets the MaxTimeout cap.
-func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.opts.MaxTimeout
+// RequestContext derives a request's search context: the client
+// connection's context bounded by min(timeout_ms, limit). The comparison
+// happens in millisecond space so an absurd client value cannot overflow
+// the duration multiply — it just gets the limit.
+func RequestContext(r *http.Request, timeoutMS int, limit time.Duration) (context.Context, context.CancelFunc) {
+	d := limit
 	if timeoutMS > 0 && int64(timeoutMS) < int64(d/time.Millisecond) {
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}
@@ -301,36 +309,33 @@ type loadRequest = api.LoadRequest
 type loadResponse = api.LoadResponse
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	if !s.admitLoad(w) {
 		return
 	}
 	defer s.endLoad()
 	var req loadRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	if len(req.Trajectories) == 0 {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "no trajectories in request"))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "no trajectories in request"))
 		return
 	}
 	ts := make([]traj.Trajectory, len(req.Trajectories))
 	for i, wt := range req.Trajectories {
 		t, aerr := wt.ToTraj()
 		if aerr != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "trajectory %d: %s", i, aerr.Message))
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument, "trajectory %d: %s", i, aerr.Message))
 			return
 		}
 		ts[i] = t
 	}
 	ids, err := s.eng.Add(ts)
 	if err != nil {
-		writeErr(w, api.FromError(err))
+		WriteErr(w, api.FromError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, loadResponse{Loaded: len(ids), IDs: ids, Total: s.eng.Len()})
+	WriteJSON(w, http.StatusOK, loadResponse{Loaded: len(ids), IDs: ids, Total: s.eng.Len()})
 }
 
 // streamLoadBatch is how many NDJSON records are buffered before each
@@ -347,9 +352,6 @@ const streamLoadBatch = 512
 // mid-stream error, records of already-committed batches remain loaded;
 // the error message carries the committed count.
 func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	if !s.admitLoad(w) {
 		return
 	}
@@ -379,34 +381,34 @@ func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
 		if err := dec.Decode(&wt); err == io.EOF {
 			break
 		} else if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument,
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
 				"stream record %d: bad JSON (%d records already committed): %v", recNo+1, loaded, err))
 			return
 		}
 		recNo++
 		t, aerr := wt.ToTraj()
 		if aerr != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument,
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
 				"stream record %d (%d records already committed): %s", recNo, loaded, aerr.Message))
 			return
 		}
 		batch = append(batch, t)
 		if len(batch) == streamLoadBatch {
 			if aerr := flush(); aerr != nil {
-				writeErr(w, aerr)
+				WriteErr(w, aerr)
 				return
 			}
 		}
 	}
 	if aerr := flush(); aerr != nil {
-		writeErr(w, aerr)
+		WriteErr(w, aerr)
 		return
 	}
 	if recNo == 0 {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "empty load stream"))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "empty load stream"))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.BulkLoadResponse{
+	WriteJSON(w, http.StatusOK, api.BulkLoadResponse{
 		Loaded:  loaded,
 		FirstID: firstID,
 		Total:   s.eng.Len(),
@@ -431,23 +433,20 @@ type topkResponse struct {
 // handleTopK is the /v1 single-query adapter: the request is recast as a
 // one-spec api.QuerySpec and answered by the same engine path as /v2.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	var req topkRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel := RequestContext(r, req.TimeoutMS, s.opts.MaxTimeout)
 	defer cancel()
 	res := s.eng.QueryOne(ctx, api.QuerySpec{
 		Query: req.Query, K: req.K, Measure: req.Measure, Algorithm: req.Algorithm,
 	})
 	if res.Error != nil {
-		writeErr(w, res.Error)
+		WriteErr(w, res.Error)
 		return
 	}
-	writeJSON(w, http.StatusOK, topkResponse{
+	WriteJSON(w, http.StatusOK, topkResponse{
 		Matches: res.Matches,
 		Cached:  res.Cached,
 		TookMS:  res.TookMS,
@@ -475,17 +474,17 @@ type searchResponse struct {
 // subtrajectory of an inline data trajectory for an inline query.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	data, aerr := req.Data.ToTraj()
 	if aerr != nil {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "data: %s", aerr.Message))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "data: %s", aerr.Message))
 		return
 	}
 	q, aerr := req.Query.ToTraj()
 	if aerr != nil {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "query: %s", aerr.Message))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "query: %s", aerr.Message))
 		return
 	}
 	if req.Measure == "" {
@@ -500,10 +499,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// invalid_argument errors on every route
 	alg, err := s.eng.ResolveAlgorithm(req.Measure, req.Algorithm, engine.Params{})
 	if err != nil {
-		writeErr(w, api.FromError(err))
+		WriteErr(w, api.FromError(err))
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel := RequestContext(r, req.TimeoutMS, s.opts.MaxTimeout)
 	defer cancel()
 	start := time.Now()
 	// algorithms are not interruptible mid-trajectory, so the search runs in
@@ -514,13 +513,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.Canceled) {
 			// the client went away while queued — a cancel, not overload
-			writeErr(w, api.FromError(ctx.Err()))
+			WriteErr(w, api.FromError(ctx.Err()))
 			return
 		}
 		// the request expired before a slot freed up: the server is at its
 		// pairwise-search capacity bound, which is overload, not a search
 		// timeout
-		writeErr(w, api.Errorf(api.CodeOverloaded,
+		WriteErr(w, api.Errorf(api.CodeOverloaded,
 			"no pairwise-search slot within the request deadline (%d concurrent searches)", s.opts.MaxSearches))
 		return
 	}
@@ -531,7 +530,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}()
 	select {
 	case res := <-done:
-		writeJSON(w, http.StatusOK, searchResponse{
+		WriteJSON(w, http.StatusOK, searchResponse{
 			Start:    res.Interval.I,
 			End:      res.Interval.J,
 			Dist:     res.Dist,
@@ -540,12 +539,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			TookMS:   float64(time.Since(start).Microseconds()) / 1000,
 		})
 	case <-ctx.Done():
-		writeErr(w, api.FromError(ctx.Err()))
+		WriteErr(w, api.FromError(ctx.Err()))
 	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.StatsResponse{
+	WriteJSON(w, http.StatusOK, api.StatsResponse{
 		Engine:        s.eng.Stats(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
@@ -557,8 +556,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": api.StateRecovering})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": api.StateRecovering})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -10,9 +10,9 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"time"
 
 	"simsub/api"
-	"simsub/internal/engine"
 	"simsub/internal/rl"
 	"simsub/internal/t2vec"
 )
@@ -21,106 +21,93 @@ import (
 // types natively: batched top-k queries, NDJSON match streaming, and
 // trajectory retrieval by global ID.
 
-// handleQuery answers POST /v2/query: a batch of specs fanned out across
-// the engine's worker pool, one QueryResult per spec in order. Spec-level
+// QueryHandler serves POST /v2/query over any api.Searcher — the node's
+// engine or the distributed router: a batch of specs, one QueryResult per
+// spec in order, bounded by min(timeout_ms, maxTimeout). Spec-level
 // failures are reported inside their result; only envelope-level problems
-// (no specs, oversized batch, bad JSON) fail the request.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
-	var req api.Query
-	if !decode(w, r, &req) {
-		return
-	}
-	if len(req.Specs) == 0 {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "query batch has no specs"))
-		return
-	}
-	if len(req.Specs) > s.opts.MaxBatchSpecs {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument,
-			"batch of %d specs exceeds the limit of %d", len(req.Specs), s.opts.MaxBatchSpecs))
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	req.TimeoutMS = 0 // already applied (and capped) by requestContext
-	resp, err := s.eng.Query(ctx, req)
-	if err != nil {
-		writeErr(w, api.FromError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleQueryStream answers POST /v2/query/stream: one spec whose matches
-// are delivered as NDJSON StreamEvent records the moment they enter the
-// running top-k, each followed by a flush so clients see answers while the
-// scan is still running, terminated by a summary record carrying the
-// authoritative final ranking. Failures before the first record use the
-// ordinary error envelope and status; failures mid-stream arrive as a
-// trailing error record (the status line is long gone by then).
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
-	var req api.StreamQuery
-	if !decode(w, r, &req) {
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	wrote := false
-	emit := func(m api.Match) error {
-		if err := enc.Encode(api.StreamEvent{Match: &m}); err != nil {
-			return err
-		}
-		wrote = true
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-	sum, err := s.eng.QueryStream(ctx, req.Spec, emit)
-	if err != nil {
-		ae := api.FromError(err)
-		if !wrote {
-			writeErr(w, ae)
+// (no specs, a batch over maxSpecs, bad JSON) fail the request.
+func QueryHandler(s api.Searcher, maxTimeout time.Duration, maxSpecs int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req api.Query
+		if !Decode(w, r, &req) {
 			return
 		}
-		_ = enc.Encode(api.StreamEvent{Error: ae})
-		if flusher != nil {
-			flusher.Flush()
+		if len(req.Specs) > maxSpecs {
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
+				"batch of %d specs exceeds the limit of %d", len(req.Specs), maxSpecs))
+			return
 		}
-		return
+		ctx, cancel := RequestContext(r, req.TimeoutMS, maxTimeout)
+		defer cancel()
+		req.TimeoutMS = 0 // already applied (and capped) by RequestContext
+		resp, err := s.Query(ctx, req)
+		if err != nil {
+			WriteErr(w, api.FromError(err))
+			return
+		}
+		WriteJSON(w, http.StatusOK, resp)
 	}
-	_ = enc.Encode(api.StreamEvent{Summary: sum})
-	if flusher != nil {
-		flusher.Flush()
+}
+
+// QueryStreamHandler serves POST /v2/query/stream over any
+// api.StreamSearcher: one spec whose matches are delivered as NDJSON
+// StreamEvent records the moment they enter the running top-k, each
+// followed by a flush so clients see answers while the scan is still
+// running, terminated by a summary record carrying the authoritative final
+// ranking. Failures before the first record use the ordinary error
+// envelope and status; failures mid-stream arrive as a trailing error
+// record (the status line is long gone by then).
+func QueryStreamHandler(s api.StreamSearcher, maxTimeout time.Duration) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req api.StreamQuery
+		if !Decode(w, r, &req) {
+			return
+		}
+		ctx, cancel := RequestContext(r, req.TimeoutMS, maxTimeout)
+		defer cancel()
+
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		flusher, _ := w.(http.Flusher)
+		enc := json.NewEncoder(w)
+		send := func(ev api.StreamEvent) error {
+			if err := enc.Encode(ev); err != nil {
+				return err
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			return nil
+		}
+		wrote := false
+		sum, err := s.QueryStream(ctx, req.Spec, func(m api.Match) error {
+			wrote = true
+			return send(api.StreamEvent{Match: &m})
+		})
+		switch {
+		case err == nil:
+			_ = send(api.StreamEvent{Summary: sum})
+		case !wrote:
+			WriteErr(w, api.FromError(err))
+		default:
+			_ = send(api.StreamEvent{Error: api.FromError(err)})
+		}
 	}
 }
 
 // handleGetTrajectory answers GET /v2/trajectories/{id} with the stored
 // trajectory, or a not_found typed error for an unassigned ID.
 func (s *Server) handleGetTrajectory(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "trajectory id %q is not an integer", r.PathValue("id")))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "trajectory id %q is not an integer", r.PathValue("id")))
 		return
 	}
 	t, ok := s.eng.Traj(id)
 	if !ok {
-		writeErr(w, api.Errorf(api.CodeNotFound, "no trajectory with id %d", id))
+		WriteErr(w, api.Errorf(api.CodeNotFound, "no trajectory with id %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.TrajectoryRecord{ID: id, Trajectory: api.FromTraj(t)})
+	WriteJSON(w, http.StatusOK, api.TrajectoryRecord{ID: id, Trajectory: api.FromTraj(t)})
 }
 
 // loadModel parses the model a swap request names: exactly one of a
@@ -174,20 +161,20 @@ func loadModel[M any](kind, path, b64 string, parse func(io.Reader) (M, error)) 
 // the previous registration keeps serving.
 func (s *Server) handlePolicySwap(w http.ResponseWriter, r *http.Request) {
 	var req api.PolicySwapRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	p, aerr := loadModel("policy", req.Path, req.PolicyB64, rl.Load)
 	if aerr != nil {
-		writeErr(w, aerr)
+		WriteErr(w, aerr)
 		return
 	}
 	info, err := s.eng.SetPolicyCompiled(p, req.CompileResolution)
 	if err != nil {
-		writeErr(w, api.FromError(err))
+		WriteErr(w, api.FromError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleEncoderSwap answers POST /v2/admin/encoder: load a t2vec encoder
@@ -199,20 +186,20 @@ func (s *Server) handlePolicySwap(w http.ResponseWriter, r *http.Request) {
 // with invalid_argument and the previous registration keeps serving.
 func (s *Server) handleEncoderSwap(w http.ResponseWriter, r *http.Request) {
 	var req api.EncoderSwapRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	m, aerr := loadModel("encoder", req.Path, req.EncoderB64, t2vec.Load)
 	if aerr != nil {
-		writeErr(w, aerr)
+		WriteErr(w, aerr)
 		return
 	}
 	info, err := s.eng.SetEncoder(m)
 	if err != nil {
-		writeErr(w, api.FromError(err))
+		WriteErr(w, api.FromError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handlePolicyGet answers GET /v2/admin/policy with the registered
@@ -220,10 +207,10 @@ func (s *Server) handleEncoderSwap(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
 	info, ok := s.eng.Policy()
 	if !ok {
-		writeErr(w, api.Errorf(api.CodeNotFound, "no policy loaded"))
+		WriteErr(w, api.Errorf(api.CodeNotFound, "no policy loaded"))
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleEncoderGet answers GET /v2/admin/encoder with the registered
@@ -231,12 +218,8 @@ func (s *Server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEncoderGet(w http.ResponseWriter, r *http.Request) {
 	info, ok := s.eng.Encoder()
 	if !ok {
-		writeErr(w, api.Errorf(api.CodeNotFound, "no encoder loaded"))
+		WriteErr(w, api.Errorf(api.CodeNotFound, "no encoder loaded"))
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
-
-// compile-time guarantee that the engine backing this server satisfies the
-// interfaces the client package mirrors
-var _ api.StreamSearcher = (*engine.Engine)(nil)
