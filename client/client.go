@@ -213,7 +213,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any
 			_, _ = io.Copy(io.Discard, resp.Body)
 			return nil
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := api.ReadJSON(resp.Body, out, false); err != nil {
 			return fmt.Errorf("client: decoding %s response: %w", path, err)
 		}
 		return nil

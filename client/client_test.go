@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -305,5 +307,30 @@ func TestClientPolicyAdmin(t *testing.T) {
 	want := engine.MatchesToAPI(direct)
 	if !reflect.DeepEqual(resp.Results[0].Matches, want) {
 		t.Fatalf("client ranking %+v != engine ranking %+v", resp.Results[0].Matches, want)
+	}
+}
+
+// TestClientIgnoresUnknownResponseFields: a 2xx answer carrying fields
+// this client does not know (a newer server) still decodes, as
+// encoding/json's lenient decode always did.
+func TestClientIgnoresUnknownResponseFields(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, `{"results":[{"matches":[{"traj_id":3,"start":1,"end":2,"dist":0.5,"sim":0.25,"explored":4,"rank":1}],`+
+			`"total":1,"cached":true,"took_ms":1.5,"shard":"a"}],"took_ms":2,"server":{"version":"v3"}}`+"\n")
+	}))
+	t.Cleanup(srv.Close)
+	resp, err := client.New(srv.URL).Query(context.Background(), api.Query{Specs: []api.QuerySpec{{
+		Query: api.Trajectory{Points: [][]float64{{0, 0}, {1, 1}}}, K: 1,
+	}}})
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	want := &api.QueryResponse{Results: []api.QueryResult{{
+		Matches: []api.Match{{TrajID: 3, Start: 1, End: 2, Dist: 0.5, Sim: 0.25, Explored: 4}},
+		Total:   1, Cached: true, TookMS: 1.5,
+	}}, TookMS: 2}
+	if !reflect.DeepEqual(resp, want) {
+		t.Fatalf("decoded %+v, want %+v", resp, want)
 	}
 }

@@ -161,22 +161,22 @@ type node struct {
 // deterministic rejection (invalid_argument, ...) still proves the node is
 // reachable, so only degradable failures mark it unhealthy. A canceled
 // attempt (a hedge sibling won, the caller gave up) says nothing about the
-// node, so it counts as a failure but does not move the circuit breaker.
+// node: it counts as a request only, leaving failures, health, latency and
+// the circuit breaker as they were.
 func (n *node) observe(start time.Time, err error) {
 	n.requests.Add(1)
-	if err != nil && degradable(err) {
+	switch {
+	case errors.Is(err, context.Canceled):
+		n.brk.recordNeutral()
+	case err != nil && degradable(err):
 		n.failures.Add(1)
 		n.healthy.Store(false)
-		if errors.Is(err, context.Canceled) {
-			n.brk.recordNeutral()
-		} else {
-			n.brk.record(true)
-		}
-		return
+		n.brk.record(true)
+	default:
+		n.rtt.record(time.Since(start))
+		n.healthy.Store(true)
+		n.brk.record(false)
 	}
-	n.rtt.record(time.Since(start))
-	n.healthy.Store(true)
-	n.brk.record(false)
 }
 
 // transportFault evaluates the router/transport failpoint for one per-node

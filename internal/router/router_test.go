@@ -286,6 +286,36 @@ func TestRouterStreamMatchesUnary(t *testing.T) {
 	}
 }
 
+// TestRouterStreamAbortKeepsNodesHealthy aborts a stream from its emit
+// while the pilot node is still streaming: the canceled attempt says
+// nothing about the node, so /v2/stats must not blame it.
+func TestRouterStreamAbortKeepsNodesHealthy(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	r := newTestRouter(t, startFleet(t, 2), nil)
+	mustLoad(t, r, randSet(rng, 400))
+	ctx := context.Background()
+	// k well above the router's 64-match forwarding buffer keeps the pilot
+	// node's stream in flight when the first emit fails
+	spec := api.QuerySpec{Query: api.FromTraj(randTraj(rng, 6)), K: 150}
+	boom := errors.New("boom")
+	if _, err := r.QueryStream(ctx, spec, func(api.Match) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("emit error came back as %v, want boom", err)
+	}
+	st, err := r.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ns := range st.Router.Nodes {
+		if ns.Failures != 0 || !ns.Healthy || ns.Breaker != "closed" {
+			t.Errorf("node %s after a consumer abort: failures %d, healthy %v, breaker %s; want 0, true, closed",
+				ns.Node, ns.Failures, ns.Healthy, ns.Breaker)
+		}
+	}
+	if st.Router.Nodes[0].Requests+st.Router.Nodes[1].Requests == 0 {
+		t.Error("the aborted stream reached no node")
+	}
+}
+
 // TestRouterPartialOnDeadNode kills one of two shard groups and checks the
 // query degrades to a typed partial answer — the exact ranking over the
 // surviving group's corpus — instead of failing.

@@ -28,6 +28,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -278,9 +280,7 @@ func WriteErr(w http.ResponseWriter, ae *api.Error) {
 // and answers the typed error itself (too_large past the body cap,
 // invalid_argument otherwise) when it reports false.
 func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := api.ReadJSON(r.Body, v, true); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			WriteErr(w, api.Errorf(api.CodeTooLarge, "request body exceeds %d bytes", maxErr.Limit))
@@ -357,7 +357,7 @@ func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.endLoad()
 	start := time.Now()
-	dec := json.NewDecoder(r.Body)
+	rr := recordReader{br: bufio.NewReaderSize(r.Body, 64<<10)}
 	batch := make([]traj.Trajectory, 0, streamLoadBatch)
 	firstID, loaded := -1, 0
 	flush := func() *api.Error {
@@ -378,7 +378,7 @@ func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
 	recNo := 0
 	for {
 		var wt Trajectory
-		if err := dec.Decode(&wt); err == io.EOF {
+		if err := rr.next(&wt); err == io.EOF {
 			break
 		} else if err != nil {
 			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
@@ -414,6 +414,53 @@ func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
 		Total:   s.eng.Len(),
 		TookMS:  float64(time.Since(start).Microseconds()) / 1000,
 	})
+}
+
+// recordReader yields the records of an NDJSON load stream. A line that
+// holds exactly one record in the fast grammar decodes in one pass
+// (api.DecodeRecord). From the first line that does not — a record split
+// across lines, two records on one line, an unknown field, anything
+// malformed — that line and the rest of the body go through one
+// json.Decoder, which reads records regardless of line breaks.
+type recordReader struct {
+	br   *bufio.Reader
+	dec  *json.Decoder
+	long []byte // a line longer than br's buffer, reassembled
+}
+
+// next decodes the next record into wt, which must be zero; io.EOF ends
+// the stream.
+func (rr *recordReader) next(wt *Trajectory) error {
+	for rr.dec == nil {
+		line, err := rr.line()
+		switch {
+		case err != nil && err != io.EOF:
+			return err
+		case len(bytes.Trim(line, " \t\r\n")) == 0: // JSON's whitespace only
+			if err == io.EOF {
+				return io.EOF
+			}
+		case api.DecodeRecord(line, wt):
+			return nil
+		default:
+			rr.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rr.br))
+		}
+	}
+	return rr.dec.Decode(wt)
+}
+
+// line reads through the next newline or to the end of the body.
+func (rr *recordReader) line() ([]byte, error) {
+	line, err := rr.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	rr.long = append(rr.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = rr.br.ReadSlice('\n')
+		rr.long = append(rr.long, line...)
+	}
+	return rr.long, err
 }
 
 type topkRequest struct {

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"simsub/api"
@@ -262,5 +264,55 @@ func TestTopKDefaults(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("huge timeout_ms: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestDecodeBody pins server.Decode on /v2/query: an unknown field is
+// invalid_argument with encoding/json's message, keys match
+// case-insensitively, bytes after the first value are ignored, and a body
+// past the cap is too_large unless its first value completed within it.
+func TestDecodeBody(t *testing.T) {
+	eng := engine.New(engine.Config{Shards: 2, Index: engine.ScanAll})
+	eng.Add([]traj.Trajectory{randWalk(rand.New(rand.NewSource(5)), 8)})
+	srv := httptest.NewServer(New(eng, Options{MaxBodyBytes: 256}))
+	t.Cleanup(srv.Close)
+	spec := `{"query":{"points":[[0,0],[1,1]]},"k":1}`
+	for _, tc := range []struct {
+		name, body string
+		code       api.Code // empty: the query must answer
+		msg        string
+	}{
+		{"unknown spec field", `{"specs":[{"query":{"points":[[0,0],[1,1]]},"k":1,"bogus":2}]}`,
+			api.CodeInvalidArgument, `bad request body: json: unknown field "bogus"`},
+		{"case-folded key", `{"specs":[{"query":{"points":[[0,0],[1,1]]},"K":1}]}`, "", ""},
+		{"trailing bytes ignored", `{"specs":[` + spec + `]} trailing garbage`, "", ""},
+		{"value complete within the cap", `{"specs":[` + spec + `]}` + strings.Repeat(" ", 1000), "", ""},
+		{"oversize", `{"specs":[` + spec + strings.Repeat(","+spec, 10) + `]}`,
+			api.CodeTooLarge, "request body exceeds 256 bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/v2/query", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.code != "" {
+				var e api.ErrorResponse
+				if err := json.Unmarshal(body, &e); err != nil || e.Err.Code != tc.code || e.Err.Message != tc.msg ||
+					resp.StatusCode != e.Err.HTTPStatus() {
+					t.Fatalf("status %d, body %s; want %s %q", resp.StatusCode, body, tc.code, tc.msg)
+				}
+				return
+			}
+			var out api.QueryResponse
+			if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK ||
+				len(out.Results) != 1 || out.Results[0].Error != nil || len(out.Results[0].Matches) != 1 {
+				t.Fatalf("status %d, body %s; want one answered spec", resp.StatusCode, body)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -163,5 +164,82 @@ func TestRecoveringGate(t *testing.T) {
 	decodeBody(t, resp, &stats)
 	if stats.State != api.StateReady {
 		t.Fatalf("stats state after recovery: %q", stats.State)
+	}
+}
+
+// TestLoadStreamFraming pins how /v2/load/stream splits a body into
+// records: by JSON value, not by line, with records in any layout
+// encoding/json reads and unknown fields ignored.
+func TestLoadStreamFraming(t *testing.T) {
+	a, b := `{"points":[[0,0,0],[1,1,1]]}`, `{"points":[[2,2,0],[3,3,1]]}`
+	want := []api.Trajectory{
+		{Points: [][]float64{{0, 0, 0}, {1, 1, 1}}},
+		{Points: [][]float64{{2, 2, 0}, {3, 3, 1}}},
+	}
+	for _, tc := range []struct{ name, body string }{
+		{"one per line", a + "\n" + b + "\n"},
+		{"split across lines", "{\"points\":\n[[0,0,0],\n[1,1,1]]}\n" + b + "\n"},
+		{"two on one line", a + " " + b + "\n"},
+		{"crlf", a + "\r\n" + b + "\r\n"},
+		{"unknown id ignored", `{"id":7,"points":[[0,0,0],[1,1,1]]}` + "\n" + `{"points":[[2,2,0],[3,3,1]],"id":8}`},
+		{"blank lines and no final newline", "\n" + a + "\n \t\n" + b},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, eng := newTestServer(t, engine.Config{Shards: 2})
+			resp, err := http.Post(ts.URL+"/v2/load/stream", "application/x-ndjson", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out api.BulkLoadResponse
+			status := resp.StatusCode
+			decodeBody(t, resp, &out)
+			if status != http.StatusOK || out.Loaded != 2 || out.FirstID != 0 || out.Total != 2 {
+				t.Fatalf("status %d, response %+v", status, out)
+			}
+			for id, w := range want {
+				got, ok := eng.Traj(id)
+				wt, _ := w.ToTraj()
+				if !ok || !got.Equal(wt) {
+					t.Errorf("trajectory %d: %+v, want %+v", id, got.Points, wt.Points)
+				}
+			}
+		})
+	}
+}
+
+// TestLoadStreamErrors pins the stream's failure answers: a bad record
+// after a committed batch names the committed count and leaves the batch
+// loaded, and a stream without records is invalid_argument.
+func TestLoadStreamErrors(t *testing.T) {
+	var body strings.Builder
+	for i := 0; i < streamLoadBatch+1; i++ {
+		fmt.Fprintf(&body, `{"points":[[%d,0,0],[%d,1,1]]}`+"\n", i, i)
+	}
+	body.WriteString(`{"points":[[0,0,0],[1,1` + "\n")
+	for _, tc := range []struct {
+		name, body, msg string
+		loaded          int
+	}{
+		{"bad record mid-stream", body.String(),
+			fmt.Sprintf("stream record %d: bad JSON (%d records already committed)", streamLoadBatch+2, streamLoadBatch), streamLoadBatch},
+		{"empty", "", "empty load stream", 0},
+		{"whitespace only", "\n \r\n", "empty load stream", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, eng := newTestServer(t, engine.Config{Shards: 2})
+			resp, err := http.Post(ts.URL+"/v2/load/stream", "application/x-ndjson", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e api.ErrorResponse
+			status := resp.StatusCode
+			decodeBody(t, resp, &e)
+			if status != http.StatusBadRequest || e.Err.Code != api.CodeInvalidArgument || !strings.Contains(e.Err.Message, tc.msg) {
+				t.Fatalf("status %d, error %+v; want invalid_argument containing %q", status, e.Err, tc.msg)
+			}
+			if eng.Len() != tc.loaded {
+				t.Fatalf("engine holds %d trajectories, want %d", eng.Len(), tc.loaded)
+			}
+		})
 	}
 }
